@@ -4,8 +4,10 @@
 //! can run essentially forever on hostile inputs. A [`CancelToken`] is a
 //! cheap shared flag (atomic + optional wall-clock deadline) that the
 //! solve paths poll at bounded intervals — the exact branch-and-bound loop,
-//! Dinic's augmentation loop, witness enumeration and the batch dispatchers
-//! all check it — and abort with
+//! witness enumeration, every flow construction's network build and
+//! Dinic's augmentation loop (cold solves, warm session re-solves and the
+//! Section 8 special flows alike) and the batch dispatchers all check it —
+//! and abort with
 //! [`SolveError::Cancelled`](crate::engine::SolveError::Cancelled), carrying
 //! whatever anytime bounds the search had established.
 //!

@@ -42,22 +42,18 @@
 use crate::cancel::CancelToken;
 use crate::exact::{ExactInterrupt, ExactScratch, ExactSolver};
 use crate::flow_algorithms::{
-    pairwise_bipartite_resilience_view, permutation_flow_live_cancellable, permutation_flow_warm,
-    rep_flow_live_cancellable, rep_flow_warm, witness_path_flow_live_cancellable,
-    witness_path_flow_warm, FlowCancelled, FlowResult, FlowScratch, FlowWarmState, WarmSession,
-};
-use crate::special::{
-    a3perm_r_resilience_opts, swx3perm_r_resilience_opts, ts3conf_resilience_opts,
+    pairwise_bipartite_resilience_view, seed_cuttable_mask, FlowConstruction, FlowResult,
+    FlowScratch, FlowWarmState, WarmSession,
 };
 use cq::linear::{linear_order_all, pseudo_linear_order};
 use cq::{classify, Classification, Complexity, PtimeAlgorithm, Query};
 use database::eval::Witness;
 use database::{
-    copy_without_mask, try_relation_translation, witnesses_with_plan_into,
-    witnesses_with_plan_into_cancellable, witnesses_with_plan_parallel_into,
-    witnesses_with_plan_parallel_into_cancellable, FrozenDb, QueryPlan, ReducedScratch,
-    ReducedSets, ReducedSetsLive, TupleId, TupleStore, WitnessIndex, WitnessSet, WitnessView,
+    collect_witnesses, copy_without_mask, try_relation_translation, FrozenDb, QueryPlan,
+    ReducedScratch, ReducedSets, ReducedSetsLive, TupleId, TupleStore, WitnessIndex, WitnessSet,
+    WitnessView,
 };
+use flow::FlowInterrupted;
 use std::borrow::Borrow;
 use std::fmt;
 use std::sync::Arc;
@@ -214,9 +210,11 @@ impl SolveOptions {
     }
 
     /// Whether a [`SolveSession`] may warm-start solves from its previous
-    /// step (default `true`): replaying an unchanged-state report and
-    /// seeding the exact search with the restricted previous contingency
-    /// set. Turning this off forces every session solve to run cold —
+    /// step (default `true`): replaying an unchanged-state report, seeding
+    /// the exact search with the restricted previous contingency set, and
+    /// repairing the resident flow network of flow dispatches (see
+    /// [`Session::solve`]). Turning this off forces every session solve to
+    /// run cold —
     /// useful for differential testing: successful warm and cold solves
     /// agree on resilience, witness count and method by construction. (The
     /// one asymmetry is a *tight* [`SolveOptions::node_budget`]: a warm
@@ -240,8 +238,9 @@ impl SolveOptions {
     }
 
     /// Attaches a [`CancelToken`]: the solve paths poll it at bounded
-    /// intervals (branch-and-bound nodes, flow augmentations, witness
-    /// enumeration chunks) and abort with [`SolveError::Cancelled`] once it
+    /// intervals (branch-and-bound nodes, witness enumeration chunks, flow
+    /// network builds and augmentations, warm session steps included) and
+    /// abort with [`SolveError::Cancelled`] once it
     /// fires. A completed solve is byte-identical to one without a token —
     /// the token adds polling, never a different search. Tokens compare by
     /// identity, so a fresh per-request deadline token never lets a session
@@ -255,6 +254,14 @@ impl SolveOptions {
     pub fn cancel(&self) -> Option<&CancelToken> {
         self.cancel.as_ref()
     }
+
+    /// The one stop callback every solve layer polls at its own stride
+    /// (witness enumeration and flow builds every 1024 witnesses, max-flow
+    /// runs every BFS phase and every 64 augmenting paths): it fires once
+    /// the attached token is cancelled, and never without one.
+    fn stop_callback(&self) -> impl Fn() -> bool + Sync + '_ {
+        move || self.cancel.as_ref().is_some_and(CancelToken::is_cancelled)
+    }
 }
 
 /// Per-solve statistics of a [`SolveSession`] step, for observability of the
@@ -265,9 +272,9 @@ pub struct SessionSolveStats {
     /// solve: the cached report was returned verbatim, nothing ran.
     pub replayed: bool,
     /// A verified-feasible incumbent from the previous step seeded the
-    /// exact search bound. P-time flow steps never set this: they re-run
-    /// their (scratch-reusing) construction cold and only benefit from
-    /// replay.
+    /// exact search bound. Exact dispatches only: flow-dispatched steps warm
+    /// start from the session's resident flow network instead, which
+    /// [`SessionSolveStats::flow_warm_reused`] reports.
     pub warm_start_hit: bool,
     /// The returned contingency set is the previous step's (restricted)
     /// certificate, reused without re-extraction.
@@ -297,14 +304,11 @@ pub struct SessionSolveStats {
 }
 
 /// Borrowed warm-solve context a session threads through `dispatch`: the
-/// resident flow state plus the session's deletion mask and touched-tuple
-/// log (for incremental arc repair), the full witness view (for cold
-/// rebuilds), and the deletion-aware reduced sets for exact dispatches.
+/// resident flow state with the session's deletion mask, touched-tuple log
+/// and full witness view (for arc repair and rebuilds), and the
+/// deletion-aware reduced sets for exact dispatches.
 struct SessionWarm<'a> {
-    flow: &'a mut FlowWarmState,
-    deleted: &'a [bool],
-    touched: &'a mut Vec<TupleId>,
-    full: WitnessView<'a>,
+    flow: WarmSession<'a>,
     reduced_live: Option<&'a ReducedSetsLive>,
 }
 
@@ -665,8 +669,7 @@ impl CompiledQuery {
     /// threads (identical output either way). Single dispatch point shared
     /// by the solve and session entry paths.
     /// Returns `false` when a [`CancelToken`] stopped the enumeration early
-    /// (`buf` then holds a partial, unusable witness list). Token-free
-    /// solves take the uninstrumented enumerators and always return `true`.
+    /// (`buf` then holds a partial, unusable witness list).
     fn enumerate_witnesses<S: TupleStore + Sync + ?Sized>(
         &self,
         translation: &[cq::RelId],
@@ -677,27 +680,14 @@ impl CompiledQuery {
         let q = &self.classification.evidence.normalized;
         let scaled = self.instance_plan(q, db, opts);
         let plan = scaled.as_ref().unwrap_or(&self.plan);
-        if let Some(token) = opts.cancel.as_ref() {
-            let is_cancelled = || token.is_cancelled();
-            return if opts.enumeration_threads > 1 {
-                witnesses_with_plan_parallel_into_cancellable(
-                    plan,
-                    translation,
-                    db,
-                    opts.enumeration_threads,
-                    buf,
-                    &is_cancelled,
-                )
-            } else {
-                witnesses_with_plan_into_cancellable(plan, translation, db, buf, &is_cancelled)
-            };
-        }
-        if opts.enumeration_threads > 1 {
-            witnesses_with_plan_parallel_into(plan, translation, db, opts.enumeration_threads, buf);
-        } else {
-            witnesses_with_plan_into(plan, translation, db, buf);
-        }
-        true
+        collect_witnesses(
+            plan,
+            translation,
+            db,
+            opts.enumeration_threads,
+            buf,
+            &opts.stop_callback(),
+        )
     }
 
     /// Whether this query's dispatch target reads raw relations of the
@@ -707,8 +697,8 @@ impl CompiledQuery {
     /// filtered witness set, because deleted tuples appear in no live
     /// witness.
     ///
-    /// Keep this in sync with [`CompiledQuery::dispatch`] /
-    /// [`CompiledQuery::solve_catalogue`]: the component-wise path
+    /// Keep this in sync with [`CompiledQuery::solve_ptime`]: the
+    /// component-wise path
     /// re-enumerates witnesses per component against the store, and the
     /// dedicated Section 8 constructions scan relations directly (2-way
     /// pair detection, forced-tuple scans) — only `q_perm`/`q_Aperm` route
@@ -761,7 +751,7 @@ impl CompiledQuery {
                 self.solve_ptime(alg, q, db, view, opts, scratch, incumbent, stats, warm)
             }
             Complexity::NpComplete(_) | Complexity::Open => {
-                let reduced_live = warm.as_ref().and_then(|w| w.reduced_live);
+                let reduced_live = warm.and_then(|w| w.reduced_live);
                 self.solve_exact(view, opts, scratch, incumbent, stats, reduced_live)
             }
         }
@@ -802,7 +792,7 @@ impl CompiledQuery {
         }
         let solver = ExactSolver::with_node_limit(opts.node_budget);
         let outcome = solver
-            .solve_with_incumbent_cancellable(
+            .search(
                 &scratch.reduced,
                 incumbent,
                 &mut scratch.exact,
@@ -845,7 +835,7 @@ impl CompiledQuery {
     /// flow is a certified lower bound on the resilience (it is a valid
     /// s–t flow), and no feasible contingency set exists yet (flow methods
     /// only produce one at the end), so the upper bound is absent.
-    fn flow_cancelled(c: FlowCancelled) -> SolveError {
+    fn flow_cancelled(c: FlowInterrupted) -> SolveError {
         SolveError::Cancelled {
             partial: Some(AnytimeBounds {
                 lower: c.partial_flow as usize,
@@ -871,6 +861,11 @@ impl CompiledQuery {
         }
     }
 
+    /// The polynomial dispatches. Each flow construction runs through one
+    /// [`FlowConstruction::solve`] call — warm when the session supplies its
+    /// resident network — polling the solve's stop callback; a construction
+    /// that does not apply to the instance falls back to bipartite cover
+    /// (linear dispatches) and then to exact search.
     #[allow(clippy::too_many_arguments)]
     fn solve_ptime<S: TupleStore + Sync + ?Sized>(
         &self,
@@ -884,171 +879,81 @@ impl CompiledQuery {
         stats: &mut SessionSolveStats,
         warm: Option<SessionWarm<'_>>,
     ) -> Result<SolveReport, SolveError> {
-        match alg {
-            PtimeAlgorithm::Unfalsifiable => Ok(self.unfalsifiable_report(view.len())),
-            PtimeAlgorithm::ComponentWise => self.solve_componentwise(db, view, opts),
+        let mut stop = opts.stop_callback();
+        let construction = match alg {
+            PtimeAlgorithm::Unfalsifiable => return Ok(self.unfalsifiable_report(view.len())),
+            PtimeAlgorithm::ComponentWise => return self.solve_componentwise(db, view, opts),
             PtimeAlgorithm::SjFreeLinearFlow | PtimeAlgorithm::ConfluenceFlow => {
-                if let Some(order) = &self.linear_order {
-                    crate::flow_algorithms::seed_cuttable_mask(q, db, &mut scratch.flow);
-                    let flow = match warm {
-                        Some(w) => {
-                            let attempt = witness_path_flow_warm(
-                                db,
-                                w.full,
-                                order,
-                                opts.want_contingency,
-                                &mut scratch.flow,
-                                WarmSession {
-                                    state: &mut *w.flow,
-                                    deleted: w.deleted,
-                                    touched: &mut *w.touched,
-                                },
-                            );
-                            Self::merge_flow_stats(stats, w.flow);
-                            match attempt {
-                                Ok(flow) => flow,
-                                Err(_) => witness_path_flow_live_cancellable(
-                                    db,
-                                    view,
-                                    order,
-                                    opts.want_contingency,
-                                    &mut scratch.flow,
-                                    opts.cancel.as_ref(),
-                                )
-                                .map_err(Self::flow_cancelled)?,
-                            }
-                        }
-                        None => witness_path_flow_live_cancellable(
-                            db,
-                            view,
-                            order,
-                            opts.want_contingency,
-                            &mut scratch.flow,
-                            opts.cancel.as_ref(),
-                        )
-                        .map_err(Self::flow_cancelled)?,
-                    };
-                    if let Some(flow) = flow {
-                        return Ok(self.finish_flow(
-                            flow,
-                            SolveMethod::LinearFlow,
-                            view.len(),
-                            opts,
-                        ));
-                    }
-                }
-                if let Some(value) = pairwise_bipartite_resilience_view(view) {
-                    return Ok(SolveReport {
-                        resilience: Resilience::Finite(value),
-                        contingency: None,
-                        method: SolveMethod::BipartiteCover,
-                        witnesses: view.len(),
-                        nodes_explored: 0,
-                    });
-                }
-                self.solve_exact(view, opts, scratch, incumbent, stats, None)
-            }
-            PtimeAlgorithm::UnboundPermutation => {
-                crate::flow_algorithms::seed_cuttable_mask(q, db, &mut scratch.flow);
-                let flow = match warm {
-                    Some(w) => {
-                        let attempt = permutation_flow_warm(
-                            q,
-                            db,
-                            w.full,
-                            opts.want_contingency,
-                            &mut scratch.flow,
-                            WarmSession {
-                                state: &mut *w.flow,
-                                deleted: w.deleted,
-                                touched: &mut *w.touched,
-                            },
-                        );
-                        Self::merge_flow_stats(stats, w.flow);
-                        match attempt {
-                            Ok(flow) => flow,
-                            Err(_) => permutation_flow_live_cancellable(
-                                q,
-                                db,
-                                view,
-                                opts.want_contingency,
-                                &mut scratch.flow,
-                                opts.cancel.as_ref(),
-                            )
-                            .map_err(Self::flow_cancelled)?,
-                        }
-                    }
-                    None => permutation_flow_live_cancellable(
-                        q,
-                        db,
-                        view,
-                        opts.want_contingency,
-                        &mut scratch.flow,
-                        opts.cancel.as_ref(),
+                self.linear_order.as_deref().map(|order| {
+                    (
+                        FlowConstruction::WitnessPath { order },
+                        SolveMethod::LinearFlow,
                     )
-                    .map_err(Self::flow_cancelled)?,
-                };
-                match flow {
-                    Some(flow) => {
-                        Ok(self.finish_flow(flow, SolveMethod::PermutationFlow, view.len(), opts))
-                    }
-                    None => self.solve_exact(view, opts, scratch, incumbent, stats, None),
-                }
+                })
             }
-            PtimeAlgorithm::RepeatedVariableFlow => {
-                crate::flow_algorithms::seed_cuttable_mask(q, db, &mut scratch.flow);
-                let flow = match warm {
-                    Some(w) => {
-                        let attempt = rep_flow_warm(
-                            q,
-                            db,
-                            w.full,
-                            &self.rep_order,
-                            opts.want_contingency,
-                            &mut scratch.flow,
-                            WarmSession {
-                                state: &mut *w.flow,
-                                deleted: w.deleted,
-                                touched: &mut *w.touched,
-                            },
-                        );
-                        Self::merge_flow_stats(stats, w.flow);
-                        match attempt {
-                            Ok(flow) => flow,
-                            Err(_) => rep_flow_live_cancellable(
-                                q,
-                                db,
-                                view,
-                                &self.rep_order,
-                                opts.want_contingency,
-                                &mut scratch.flow,
-                                opts.cancel.as_ref(),
-                            )
-                            .map_err(Self::flow_cancelled)?,
-                        }
-                    }
-                    None => rep_flow_live_cancellable(
-                        q,
-                        db,
-                        view,
-                        &self.rep_order,
-                        opts.want_contingency,
-                        &mut scratch.flow,
-                        opts.cancel.as_ref(),
-                    )
-                    .map_err(Self::flow_cancelled)?,
-                };
-                match flow {
-                    Some(flow) => {
-                        Ok(self.finish_flow(flow, SolveMethod::RepFlow, view.len(), opts))
-                    }
-                    None => self.solve_exact(view, opts, scratch, incumbent, stats, None),
-                }
-            }
+            PtimeAlgorithm::UnboundPermutation
+            | PtimeAlgorithm::CatalogueMatch("q_perm" | "q_Aperm") => Some((
+                FlowConstruction::Permutation { query: q },
+                SolveMethod::PermutationFlow,
+            )),
+            PtimeAlgorithm::RepeatedVariableFlow => Some((
+                FlowConstruction::Rep {
+                    query: q,
+                    order: &self.rep_order,
+                },
+                SolveMethod::RepFlow,
+            )),
             PtimeAlgorithm::CatalogueMatch(name) => {
-                self.solve_catalogue(name, q, db, view, opts, scratch, incumbent, stats, warm)
+                // A query that matched a catalogue entry structurally but
+                // uses other relation names than the dedicated construction
+                // expects gets `None` and falls back to the exact solver
+                // (still correct, just not polynomial-by-construction).
+                let flow = crate::special::solve(name, q, db, opts.want_contingency, &mut stop)
+                    .map_err(Self::flow_cancelled)?;
+                return match flow {
+                    Some(flow) => Ok(self.finish_flow(
+                        flow,
+                        SolveMethod::SpecialFlow(name),
+                        view.len(),
+                        opts,
+                    )),
+                    None => self.solve_exact(view, opts, scratch, incumbent, stats, None),
+                };
+            }
+        };
+        if let Some((construction, method)) = construction {
+            seed_cuttable_mask(q, db, &mut scratch.flow);
+            let mut warm = warm.map(|w| w.flow);
+            let flow = construction.solve(
+                db,
+                view,
+                opts.want_contingency,
+                &mut scratch.flow,
+                &mut stop,
+                warm.as_mut(),
+            );
+            if let Some(w) = &warm {
+                Self::merge_flow_stats(stats, w.state);
+            }
+            if let Some(flow) = flow.map_err(Self::flow_cancelled)? {
+                return Ok(self.finish_flow(flow, method, view.len(), opts));
             }
         }
+        if matches!(
+            alg,
+            PtimeAlgorithm::SjFreeLinearFlow | PtimeAlgorithm::ConfluenceFlow
+        ) {
+            if let Some(value) = pairwise_bipartite_resilience_view(view) {
+                return Ok(SolveReport {
+                    resilience: Resilience::Finite(value),
+                    contingency: None,
+                    method: SolveMethod::BipartiteCover,
+                    witnesses: view.len(),
+                    nodes_explored: 0,
+                });
+            }
+        }
+        self.solve_exact(view, opts, scratch, incumbent, stats, None)
     }
 
     /// Copies the warm flow state's per-step counters into the session
@@ -1058,87 +963,6 @@ impl CompiledQuery {
         stats.flow_paths_repaired += flow.step_repaired;
         stats.flow_paths_reaugmented += flow.step_reaugmented;
         stats.flow_cold_rebuild |= flow.step_rebuilt;
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn solve_catalogue<S: TupleStore + Sync + ?Sized>(
-        &self,
-        name: &str,
-        q: &Query,
-        db: &S,
-        view: WitnessView<'_>,
-        opts: &SolveOptions,
-        scratch: &mut SolveScratch,
-        incumbent: Option<&[u32]>,
-        stats: &mut SessionSolveStats,
-        warm: Option<SessionWarm<'_>>,
-    ) -> Result<SolveReport, SolveError> {
-        let want = opts.want_contingency;
-        let special = match name {
-            "q_A3perm-R" => a3perm_r_resilience_opts(q, db, want).map(|f| (f, "q_A3perm-R")),
-            "q_Swx3perm-R" => swx3perm_r_resilience_opts(q, db, want).map(|f| (f, "q_Swx3perm-R")),
-            "q_TS3conf" => ts3conf_resilience_opts(q, db, want).map(|f| (f, "q_TS3conf")),
-            "q_perm" | "q_Aperm" => {
-                crate::flow_algorithms::seed_cuttable_mask(q, db, &mut scratch.flow);
-                let flow = match warm {
-                    Some(w) => {
-                        let attempt = permutation_flow_warm(
-                            q,
-                            db,
-                            w.full,
-                            want,
-                            &mut scratch.flow,
-                            WarmSession {
-                                state: &mut *w.flow,
-                                deleted: w.deleted,
-                                touched: &mut *w.touched,
-                            },
-                        );
-                        Self::merge_flow_stats(stats, w.flow);
-                        match attempt {
-                            Ok(flow) => flow,
-                            Err(_) => permutation_flow_live_cancellable(
-                                q,
-                                db,
-                                view,
-                                want,
-                                &mut scratch.flow,
-                                opts.cancel.as_ref(),
-                            )
-                            .map_err(Self::flow_cancelled)?,
-                        }
-                    }
-                    None => permutation_flow_live_cancellable(
-                        q,
-                        db,
-                        view,
-                        want,
-                        &mut scratch.flow,
-                        opts.cancel.as_ref(),
-                    )
-                    .map_err(Self::flow_cancelled)?,
-                };
-                return match flow {
-                    Some(flow) => {
-                        Ok(self.finish_flow(flow, SolveMethod::PermutationFlow, view.len(), opts))
-                    }
-                    None => self.solve_exact(view, opts, scratch, incumbent, stats, None),
-                };
-            }
-            _ => None,
-        };
-        match special {
-            Some((flow, tag)) => {
-                Ok(self.finish_flow(flow, SolveMethod::SpecialFlow(tag), view.len(), opts))
-            }
-            None => {
-                // The query matched a catalogue entry structurally but uses
-                // different relation names than the dedicated construction
-                // expects; fall back to the exact solver (still correct, just
-                // not polynomial-by-construction).
-                self.solve_exact(view, opts, scratch, incumbent, stats, None)
-            }
-        }
     }
 
     fn solve_componentwise<S: TupleStore + Sync + ?Sized>(
@@ -1229,8 +1053,9 @@ impl CompiledQuery {
 /// For witness-driven methods (exact branch-and-bound, witness-path /
 /// permutation / REP flows, bipartite cover) the solver runs directly over
 /// the original store with the filtered witness set — deleted tuples appear
-/// in no live witness, so they cannot appear in any flow network or hitting
-/// set. The component-wise dispatch and the dedicated Section 8 catalogue
+/// in no live witness, so they cannot appear in any hitting set, and the
+/// flows' resident network carries no flow through their zeroed arcs. The
+/// component-wise dispatch and the dedicated Section 8 catalogue
 /// constructions scan raw relations, so for those the session materializes
 /// the reduced instance once per solve and translates the resulting
 /// contingency back to the session's original tuple ids.
@@ -1566,14 +1391,17 @@ impl<C: Borrow<CompiledQuery>, D: Borrow<FrozenDb>> Session<C, D> {
     ///   feasibility before trusting it (restores can revive witnesses `Γ`
     ///   never hit), seeds its search bound with it, and skips the search
     ///   entirely when the bound matches the fresh packing lower bound.
-    /// * **P-time paths** — flow methods re-run over the live view with
-    ///   every construction buffer (node map, edge list, network, masks)
-    ///   reused from the session scratch, and run *value-only* (no cut
-    ///   extraction) whenever [`SolveOptions::want_contingency`] is off.
-    ///   (A certificate-reuse pre-run — value-only solve, then keep the
-    ///   still-live previous cut on a value match — was measured a net
-    ///   loss: extraction is a small share of a flow solve, so the extra
-    ///   max-flow run on a miss outweighs the extraction saved on a hit.)
+    /// * **Resident flow network** — the witness-path, permutation and REP
+    ///   flows keep the split network of the *full* witness set resident
+    ///   across steps. A step zeroes the node arcs of newly deleted tuples
+    ///   (rerouting or draining the flow through them), restores revived
+    ///   ones, and re-augments Dinic from the repaired residual instead of
+    ///   recomputing the max flow; the first step, a step after
+    ///   [`Session::reset`] or after a cancelled step, and a deletion the
+    ///   network cannot express rebuild it. Contingency extraction is
+    ///   skipped whenever [`SolveOptions::want_contingency`] is off.
+    ///   Deadlines hold on these steps too: the rebuild and the
+    ///   re-augmentation poll the solve's [`CancelToken`] like cold solves.
     ///
     /// Successful warm and cold solves always agree on the resilience,
     /// witness count and method; certificates may differ between equally
@@ -1678,15 +1506,6 @@ impl<C: Borrow<CompiledQuery>, D: Borrow<FrozenDb>> Session<C, D> {
                         self.incumbent_buf.sort_unstable();
                         incumbent = Some(&self.incumbent_buf);
                     }
-                    // P-time methods re-run their flow over the live view
-                    // (value-only when the caller skips certificates), with
-                    // every construction buffer — node map, edge list,
-                    // network, masks — reused from the session scratch. A
-                    // certificate-reuse pre-run (value-only solve, then keep
-                    // the still-live previous cut on a value match) was
-                    // measured a net loss: cut extraction is a small share
-                    // of a flow solve, so the extra max-flow run on a miss
-                    // outweighs the extraction saved on a hit.
                 }
             }
         }
@@ -1707,10 +1526,12 @@ impl<C: Borrow<CompiledQuery>, D: Borrow<FrozenDb>> Session<C, D> {
             self.reduced_live = Some(live_sets);
         }
         let warm = opts.warm_start.then(|| SessionWarm {
-            flow: &mut self.flow_warm,
-            deleted: &self.deleted,
-            touched: &mut self.flow_touched,
-            full: self.ws.view(),
+            flow: WarmSession {
+                state: &mut self.flow_warm,
+                full: self.ws.view(),
+                deleted: &self.deleted,
+                touched: &mut self.flow_touched,
+            },
             reduced_live: self.reduced_live.as_ref(),
         });
         let report = compiled.dispatch(

@@ -246,7 +246,7 @@ impl ExactSolver {
         incumbent: Option<&[u32]>,
         scratch: &mut ExactScratch,
     ) -> Result<DenseExactOutcome, BudgetExhausted> {
-        self.solve_with_incumbent_cancellable(reduced, incumbent, scratch, None)
+        self.search(reduced, incumbent, scratch, None)
             .map_err(|e| match e {
                 ExactInterrupt::Budget(b) => b,
                 ExactInterrupt::Cancelled(_) => {
@@ -258,10 +258,10 @@ impl ExactSolver {
     /// [`ExactSolver::solve_with_incumbent`] with an optional [`CancelToken`]
     /// polled every 1024 branch-and-bound nodes. On cancellation the error
     /// carries the anytime bounds established so far (see
-    /// [`CancelledSearch`]). With `cancel = None` the search is identical to
-    /// the uncancellable entry point — same branch order, same node counts —
-    /// so completed solves cannot differ between the two.
-    pub fn solve_with_incumbent_cancellable(
+    /// [`CancelledSearch`]). The token adds polling, never a different
+    /// search — same branch order, same node counts — so a completed search
+    /// answers the same with or without one.
+    pub fn search(
         &self,
         reduced: &ReducedSets,
         incumbent: Option<&[u32]>,

@@ -3,51 +3,60 @@
 //! All PTIME cases of the dichotomy reduce to minimum cuts. This module
 //! contains the generic constructions shared by several cases:
 //!
-//! * [`witness_path_flow`] — the classic "witnesses are s–t paths over tuple
-//!   nodes" construction used for linear queries (Section 2.4) and, with
-//!   duplicated self-join positions collapsing onto a single node, for
-//!   2-confluences (Proposition 31) and `q_TS3conf` (Proposition 41);
-//! * [`pairwise_bipartite_resilience`] — minimum vertex cover via König's
-//!   theorem when every witness touches at most two endogenous tuples drawn
-//!   from two relations (e.g. the normal form of `q_rats`);
-//! * [`permutation_flow_resilience`] — the pair-node construction for
-//!   unbound 2-permutations (Propositions 33 and 35);
-//! * [`rep_flow_resilience`] — Proposition 36's observation that
-//!   off-diagonal tuples of the REP relation are never needed, after which
-//!   the witness-path flow applies.
+//! * [`FlowConstruction::solve`] — the one entry point of the three
+//!   tuple-node min-cut constructions:
+//!   - [`FlowConstruction::WitnessPath`], the classic "witnesses are s–t
+//!     paths over tuple nodes" construction used for linear queries
+//!     (Section 2.4) and, with duplicated self-join positions collapsing
+//!     onto a single node, for 2-confluences (Proposition 31) and
+//!     `q_TS3conf` (Proposition 41);
+//!   - [`FlowConstruction::Permutation`], the pair-node construction for
+//!     unbound 2-permutations (Propositions 33 and 35);
+//!   - [`FlowConstruction::Rep`], Proposition 36's observation that
+//!     off-diagonal tuples of the REP relation are never needed, after
+//!     which the witness-path flow applies.
 //!
-//! Each function returns `None` when the construction detects that the query
-//! cannot be made false on the given instance (a witness with no deletable
-//! tuple).
+//!   One call solves cold, or warm from a deletion session's resident
+//!   network ([`WarmSession`]), and polls one stop callback in every
+//!   max-flow run;
+//! * [`pairwise_bipartite_resilience_view`] — minimum vertex cover via
+//!   König's theorem when every witness touches at most two endogenous
+//!   tuples drawn from two relations (e.g. the normal form of `q_rats`);
+//! * [`seed_cuttable_mask`] — the cuttability mask the constructions read.
+//!
+//! [`witness_path_flow_live`], [`permutation_flow_live`] and
+//! [`rep_flow_live`] are cold, never-stopping shorthands for
+//! [`FlowConstruction::solve`].
+//!
+//! A construction answers `None` when it detects that the query cannot be
+//! made false on the given instance (a witness with no cuttable tuple), or
+//! when it does not apply to the query.
 
-use crate::cancel::CancelToken;
-use cq::linear::linear_order_all;
 use cq::patterns::single_self_join_relation;
 use cq::Query;
-use database::{FxHashMap, TupleId, TupleStore, WitnessSet, WitnessView};
-use flow::{VertexCutNetwork, INF};
+use database::{FxHashMap, TupleId, TupleStore, WitnessView};
+use flow::{FlowInterrupted, VertexCutNetwork, INF};
 use std::collections::HashSet;
 
-/// Reusable buffers for the flow constructions: the tuple → node map, the
-/// edge list, the vertex-cut network and the cuttability mask all survive
-/// across solves, so a deletion-session step re-runs a flow without
-/// allocating per witness (or per tuple, after the first solve).
+/// The artificial source and target: nodes 0 and 1 of every network.
+const SOURCE: u32 = 0;
+const TARGET: u32 = 1;
+
+/// Reusable buffers for the flow constructions: the edge list, the
+/// cuttability mask, the pair-node map and the cold network all survive
+/// across solves, so a batch or session re-runs a flow without allocating
+/// per witness (or per tuple, after the first solve).
 #[derive(Clone, Debug, Default)]
 pub struct FlowScratch {
-    /// `node_of[t]` is the node of tuple `t`, or `u32::MAX` when unmapped.
-    node_of: Vec<u32>,
-    /// Tuples assigned a node in the current run (for cheap reset).
-    touched: Vec<TupleId>,
-    /// `tuple_of[n]` is the tuple placed on node `n` (valid for tuple nodes).
-    tuple_of: Vec<Option<TupleId>>,
     /// Edge list under construction (deduplicated before insertion).
     edges: Vec<(u32, u32)>,
-    /// Combined cuttability mask buffer (endogenous minus frozen tuples).
+    /// Cuttability mask: endogenous tuples minus the ones a construction
+    /// freezes.
     cuttable: Vec<bool>,
     /// Pair-node lookup for the permutation construction.
     pair_node: FxHashMap<(TupleId, TupleId), u32>,
-    /// The vertex-capacitated network (cleared, not reallocated).
-    network: VertexCutNetwork,
+    /// The network cold solves build (cleared, not reallocated).
+    cold: TupleNetwork,
 }
 
 impl FlowScratch {
@@ -55,71 +64,6 @@ impl FlowScratch {
     pub fn new() -> Self {
         Self::default()
     }
-}
-
-/// Dense tuple -> network-node map over borrowed scratch buffers; resetting
-/// touches only the tuples mapped by the previous run.
-struct NodeMap<'s> {
-    node_of: &'s mut Vec<u32>,
-    touched: &'s mut Vec<TupleId>,
-    tuple_of: &'s mut Vec<Option<TupleId>>,
-}
-
-impl<'s> NodeMap<'s> {
-    fn prepare(
-        node_of: &'s mut Vec<u32>,
-        touched: &'s mut Vec<TupleId>,
-        tuple_of: &'s mut Vec<Option<TupleId>>,
-        num_tuples: usize,
-    ) -> NodeMap<'s> {
-        if node_of.len() < num_tuples {
-            node_of.resize(num_tuples, u32::MAX);
-        }
-        for t in touched.drain(..) {
-            node_of[t.index()] = u32::MAX;
-        }
-        tuple_of.clear();
-        NodeMap {
-            node_of,
-            touched,
-            tuple_of,
-        }
-    }
-
-    /// The node of `t`, creating it with `capacity` on first use.
-    fn node(&mut self, t: TupleId, network: &mut VertexCutNetwork, capacity: u64) -> usize {
-        let slot = &mut self.node_of[t.index()];
-        if *slot != u32::MAX {
-            return *slot as usize;
-        }
-        let n = network.add_vertex(capacity);
-        *slot = n as u32;
-        self.touched.push(t);
-        if self.tuple_of.len() <= n {
-            self.tuple_of.resize(n + 1, None);
-        }
-        self.tuple_of[n] = Some(t);
-        n
-    }
-
-    /// Records that `node` (created outside [`NodeMap::node`], e.g. a pair
-    /// node) stands for tuple `t`.
-    fn register(&mut self, node: usize, t: TupleId) {
-        if self.tuple_of.len() <= node {
-            self.tuple_of.resize(node + 1, None);
-        }
-        self.tuple_of[node] = Some(t);
-    }
-
-    fn tuple(&self, node: usize) -> Option<TupleId> {
-        self.tuple_of.get(node).copied().flatten()
-    }
-}
-
-/// Deduplicates a directed edge list in place (sort + dedup; no hashing).
-fn dedup_edges(edges: &mut Vec<(u32, u32)>) {
-    edges.sort_unstable();
-    edges.dedup();
 }
 
 /// Result of a flow-based resilience computation.
@@ -132,89 +76,590 @@ pub struct FlowResult {
     pub contingency: Vec<TupleId>,
 }
 
-/// A flow-based solve interrupted by its [`CancelToken`] mid-run.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct FlowCancelled {
-    /// Flow routed before cancellation — a valid (not necessarily maximum)
-    /// flow, hence a certified lower bound on the resilience.
-    pub partial_flow: u64,
+/// Seeds `scratch.cuttable` with the endogenous mask of `q` over `db`
+/// (reusing the buffer), as every construction expects on entry.
+pub fn seed_cuttable_mask<S: TupleStore + ?Sized>(q: &Query, db: &S, scratch: &mut FlowScratch) {
+    db.endogenous_mask_into(q, &mut scratch.cuttable);
 }
 
-/// Builds the stop callback Dinic polls out of an optional token: a counter
-/// increment per call, with the token (and its clock read) consulted only
-/// every 64th call, so cancellation support costs the happy path nothing
-/// measurable.
-fn stop_from_token(cancel: Option<&CancelToken>) -> impl FnMut() -> bool + '_ {
-    let mut tick = 0u32;
-    move || match cancel {
-        Some(token) => {
-            tick = tick.wrapping_add(1);
-            tick & 63 == 0 && token.is_cancelled()
+/// One of the three tuple-node min-cut constructions. Tuples become nodes
+/// (capacity 1 if cuttable, infinite otherwise) and every witness an s–t
+/// path, so a minimum vertex cut is a minimum contingency set.
+#[derive(Clone, Copy, Debug)]
+pub enum FlowConstruction<'a> {
+    /// Every witness contributes the s–t path that visits its tuples in the
+    /// atom order `order`. For *linear* orders every hybrid s–t path of the
+    /// resulting graph is itself a witness, so the minimum vertex cut equals
+    /// the resilience.
+    WitnessPath {
+        /// The atom order each witness path follows.
+        order: &'a [usize],
+    },
+    /// Resilience of an unbound 2-permutation query (Propositions 33 and 35,
+    /// "case 1"). The self-join relation `R` occurs as `R(x,y), R(y,x)`;
+    /// every witness either uses a symmetric pair `{R(a,b), R(b,a)}` (or a
+    /// loop `R(a,a)`), of which a minimum contingency set deletes exactly
+    /// one, or is destroyed further left. Each symmetric pair collapses to a
+    /// single unit-capacity "pair node" placed after the remaining
+    /// endogenous tuples of the witness (taken in the query's pseudo-linear
+    /// order).
+    Permutation {
+        /// The query, which locates the self-join pair.
+        query: &'a Query,
+    },
+    /// Resilience of a REP query containing `z3` (Proposition 36): tuples
+    /// `R(a,b)` with `a != b` are never needed in a minimum contingency set,
+    /// so they are frozen and the witness-path flow applies over `order`.
+    Rep {
+        /// The query, which names the self-join relation.
+        query: &'a Query,
+        /// The atom order each witness path follows: linear, else
+        /// pseudo-linear, else query order.
+        order: &'a [usize],
+    },
+}
+
+impl FlowConstruction<'_> {
+    /// Solves the construction over the live witnesses in `view`.
+    /// `scratch.cuttable` must hold the cuttability mask on entry (see
+    /// [`seed_cuttable_mask`]); the REP construction freezes its
+    /// off-diagonal tuples in place.
+    ///
+    /// Without `warm`, the network is built over `view` and solved from
+    /// scratch. With `warm`, the session's resident network over the full
+    /// witness set is rebuilt (first use, or after
+    /// [`FlowWarmState::invalidate`]) or repaired by the deletions and
+    /// restores since the previous step and re-augmented; when it cannot
+    /// express a deletion (a deleted tuple on an atom the permutation
+    /// construction does not model), the step retries cold. Every path
+    /// answers what the cold solve over `view` answers.
+    ///
+    /// `stop` is polled inside every max-flow run. When it fires, `Err`
+    /// carries the flow routed so far — a valid flow of the live network
+    /// (deleted tuples' arcs carry none), hence a certified lower bound on
+    /// the resilience. An interrupted warm step drops the resident network,
+    /// so the next step rebuilds it as a fresh session would.
+    pub fn solve<S: TupleStore + ?Sized>(
+        &self,
+        db: &S,
+        view: WitnessView<'_>,
+        want_contingency: bool,
+        scratch: &mut FlowScratch,
+        stop: &mut dyn FnMut() -> bool,
+        warm: Option<&mut WarmSession<'_>>,
+    ) -> Result<Option<FlowResult>, FlowInterrupted> {
+        let plan = match *self {
+            FlowConstruction::WitnessPath { order } => Plan::Path(order),
+            FlowConstruction::Permutation { query } => match PermShape::of(query) {
+                Some(shape) => Plan::Pairs(shape),
+                None => return Ok(None),
+            },
+            FlowConstruction::Rep { query, order } => {
+                if !freeze_off_diagonal(query, db, &mut scratch.cuttable) {
+                    return Ok(None);
+                }
+                Plan::Path(order)
+            }
+        };
+        if let Some(warm) = warm {
+            if let Some(result) = self.solve_warm(&plan, db, want_contingency, scratch, stop, warm)
+            {
+                return result;
+            }
         }
-        None => false,
+        if view.is_empty() {
+            return Ok(Some(FlowResult {
+                resilience: 0,
+                contingency: Vec::new(),
+            }));
+        }
+        let FlowScratch {
+            edges,
+            cuttable,
+            pair_node,
+            cold,
+        } = scratch;
+        cold.reset(db.num_tuples(), false);
+        if !plan.build(cold, view, cuttable, pair_node, edges, None, stop)? {
+            return Ok(None);
+        }
+        let value = cold.run(edges, stop).map_err(certified)?;
+        Ok(cold.result(value, want_contingency))
+    }
+
+    /// The warm step of [`FlowConstruction::solve`]; `None` asks for the
+    /// cold retry.
+    fn solve_warm<S: TupleStore + ?Sized>(
+        &self,
+        plan: &Plan<'_>,
+        db: &S,
+        want_contingency: bool,
+        scratch: &mut FlowScratch,
+        stop: &mut dyn FnMut() -> bool,
+        warm: &mut WarmSession<'_>,
+    ) -> Option<Result<Option<FlowResult>, FlowInterrupted>> {
+        let kind = match self {
+            FlowConstruction::WitnessPath { .. } => WarmKind::WitnessPath,
+            FlowConstruction::Permutation { .. } => WarmKind::Permutation,
+            FlowConstruction::Rep { .. } => WarmKind::Rep,
+        };
+        let state = &mut *warm.state;
+        state.begin_step();
+        let flow = if state.built == Some(kind) {
+            state.step_reused = true;
+            match state.net.apply_deltas(warm.deleted, warm.touched) {
+                Some(paths) => state.step_repaired = paths,
+                None => {
+                    state.built = None;
+                    state.step_rebuilt = true;
+                    return None;
+                }
+            }
+            warm.touched.clear();
+            state
+                .net
+                .network
+                .warm_reaugment(stop)
+                .map(|(value, paths)| {
+                    state.step_reaugmented = paths;
+                    value
+                })
+        } else {
+            state.built = None;
+            state.step_rebuilt = true;
+            warm.touched.clear();
+            state.net.reset(db.num_tuples(), true);
+            let FlowScratch {
+                edges,
+                cuttable,
+                pair_node,
+                ..
+            } = scratch;
+            match plan.build(
+                &mut state.net,
+                warm.full,
+                cuttable,
+                pair_node,
+                edges,
+                Some(warm.deleted),
+                stop,
+            ) {
+                Ok(true) => state.net.run(edges, stop),
+                Ok(false) => return None,
+                Err(stopped) => Err(stopped),
+            }
+        };
+        // A stopped step leaves no trace: the next one rebuilds the network
+        // exactly as a fresh session's first step would.
+        state.built = flow.is_ok().then_some(kind);
+        Some(
+            flow.map(|value| state.net.result(value, want_contingency))
+                .map_err(certified),
+        )
     }
 }
 
-/// The generic witness-path vertex-cut construction.
+/// A stopped run's partial flow as a lower bound on the resilience. Any
+/// flow bounds its network's min cut from below; a flow past `INF / 2`
+/// runs through a live witness with no cuttable tuple, whose network has no
+/// finite cut, so the bound is then the trivial 0.
+fn certified(e: FlowInterrupted) -> FlowInterrupted {
+    FlowInterrupted {
+        partial_flow: if e.partial_flow >= INF / 2 {
+            0
+        } else {
+            e.partial_flow
+        },
+    }
+}
+
+/// Freezes the off-diagonal tuples `R(a,b)`, `a != b`, of the query's
+/// self-join relation in `cuttable` (Proposition 36). `false` when the query
+/// has no self-join relation or the instance lacks it.
+fn freeze_off_diagonal<S: TupleStore + ?Sized>(q: &Query, db: &S, cuttable: &mut [bool]) -> bool {
+    let Some((rel, _)) = single_self_join_relation(q) else {
+        return false;
+    };
+    let Some(db_rel) = db.schema().relation_id(q.schema().name(rel)) else {
+        return false;
+    };
+    for &t in db.tuples_of(db_rel) {
+        let vals = db.values_of(t);
+        if vals.len() == 2 && vals[0] != vals[1] && t.index() < cuttable.len() {
+            cuttable[t.index()] = false;
+        }
+    }
+    true
+}
+
+/// The atoms the pair-node construction walks.
+struct PermShape {
+    /// Endogenous non-`R` atoms in query order (pseudo-linear for the
+    /// queries this is applied to).
+    left: Vec<usize>,
+    /// The two atoms of the self-join relation `R`.
+    r_atoms: [usize; 2],
+    /// Whether the `R` atoms are endogenous.
+    r_endogenous: bool,
+    /// Exogenous non-`R` atoms: their tuples get no node.
+    skipped: Vec<usize>,
+}
+
+impl PermShape {
+    /// The shape of an unbound 2-permutation, or `None` when `q` has no
+    /// self-join relation occurring exactly twice.
+    fn of(q: &Query) -> Option<PermShape> {
+        let (_, r) = single_self_join_relation(q)?;
+        let &[r0, r1] = r.as_slice() else {
+            return None;
+        };
+        let others = (0..q.num_atoms()).filter(|&i| i != r0 && i != r1);
+        Some(PermShape {
+            left: others.clone().filter(|&i| !q.atom(i).exogenous).collect(),
+            r_atoms: [r0, r1],
+            r_endogenous: !q.atom(r0).exogenous || !q.atom(r1).exogenous,
+            skipped: others.filter(|&i| q.atom(i).exogenous).collect(),
+        })
+    }
+}
+
+/// A construction resolved against its query: witness paths over an atom
+/// order, or the pair-node shape.
+enum Plan<'a> {
+    Path(&'a [usize]),
+    Pairs(PermShape),
+}
+
+impl Plan<'_> {
+    /// Builds the network of the witnesses in `view` into `net` (already
+    /// reset) — the one witness loop cold and warm solves share. Warm builds
+    /// pass the session's deletion mask: they run over the full witness set
+    /// with the deleted tuples' arcs zeroed.
+    ///
+    /// A cold build answers `Ok(false)` at the first witness without a
+    /// cuttable tuple (the answer is then `None`, with no flow to run). A
+    /// warm build keeps such witnesses — an all-infinite path lifts the flow
+    /// above `INF / 2` exactly while the witness is live — and answers
+    /// `Ok(false)` when a deleted tuple sits on an atom the construction
+    /// does not model, which zeroing arcs cannot express. `stop` is polled
+    /// every 1024 witnesses; `Err` means it fired before any flow ran.
+    #[allow(clippy::too_many_arguments)]
+    fn build(
+        &self,
+        net: &mut TupleNetwork,
+        view: WitnessView<'_>,
+        cuttable: &[bool],
+        pair_node: &mut FxHashMap<(TupleId, TupleId), u32>,
+        edges: &mut Vec<(u32, u32)>,
+        deleted: Option<&[bool]>,
+        stop: &mut dyn FnMut() -> bool,
+    ) -> Result<bool, FlowInterrupted> {
+        let cap = |t: TupleId| if cuttable[t.index()] { 1 } else { INF };
+        let uncuttable =
+            |tuples: &[TupleId]| deleted.is_none() && !tuples.iter().any(|t| cuttable[t.index()]);
+        edges.clear();
+        pair_node.clear();
+        for (i, w) in view.witnesses().enumerate() {
+            if i % 1024 == 1023 && stop() {
+                return Err(FlowInterrupted { partial_flow: 0 });
+            }
+            let tuples = &w.atom_tuples[..];
+            let left: &[usize] = match self {
+                Plan::Path(order) => {
+                    if uncuttable(tuples) {
+                        return Ok(false);
+                    }
+                    order
+                }
+                Plan::Pairs(shape) => &shape.left,
+            };
+            let mut prev = SOURCE;
+            for &atom in left {
+                let n = net.node(tuples[atom], cap(tuples[atom]), deleted);
+                if n != prev {
+                    edges.push((prev, n));
+                }
+                prev = n;
+            }
+            if let Plan::Pairs(shape) = self {
+                // The symmetric pair used by this witness.
+                let (t1, t2) = (tuples[shape.r_atoms[0]], tuples[shape.r_atoms[1]]);
+                let key = if t1 <= t2 { (t1, t2) } else { (t2, t1) };
+                let n = match pair_node.get(&key) {
+                    Some(&n) => n,
+                    None => {
+                        let cap = if shape.r_endogenous { cap(key.0) } else { INF };
+                        let dead = deleted.map_or(0, |d| {
+                            d[key.0.index()] as u32 + (key.1 != key.0 && d[key.1.index()]) as u32
+                        });
+                        let n = net.add_node(cap, dead, Some(key.0));
+                        pair_node.insert(key, n);
+                        net.map(key.0, n, deleted);
+                        if key.1 != key.0 {
+                            net.map(key.1, n, deleted);
+                        }
+                        n
+                    }
+                };
+                if n != prev {
+                    edges.push((prev, n));
+                }
+                prev = n;
+                if uncuttable(tuples) {
+                    return Ok(false);
+                }
+                if let Some(deleted) = deleted {
+                    for &atom in &shape.skipped {
+                        let t = tuples[atom];
+                        if net.node_of[t.index()] == u32::MAX {
+                            net.unmodeled[t.index()] = true;
+                            if deleted[t.index()] {
+                                return Ok(false);
+                            }
+                        }
+                    }
+                }
+            }
+            edges.push((prev, TARGET));
+        }
+        Ok(true)
+    }
+}
+
+/// A vertex-cut network whose nodes stand for tuples, with the maps between
+/// tuples and nodes. Cold solves build one over the live witnesses; a
+/// session's [`FlowWarmState`] keeps one over the full witness set resident,
+/// with the node arcs of deleted tuples zeroed.
+#[derive(Clone, Debug, Default)]
+struct TupleNetwork {
+    /// `node_of[t]` is the node whose split arc models tuple `t`
+    /// (`u32::MAX` when `t` has none).
+    node_of: Vec<u32>,
+    /// Tuples with a node in the current build (for a cheap reset).
+    mapped: Vec<TupleId>,
+    /// Warm builds only: `t` appears in some witness but has no node
+    /// (permutation construction: exogenous non-R atoms). Deleting such a
+    /// tuple cannot be expressed by arc zeroing and forces a cold retry.
+    unmodeled: Vec<bool>,
+    /// Warm builds only: deletion state currently applied, per tuple.
+    applied: Vec<bool>,
+    /// Built capacity of each node's split arc (restored when the last
+    /// deleted member of the node comes back).
+    orig_cap: Vec<u64>,
+    /// Number of currently-deleted member tuples per node (pair nodes have
+    /// up to two members; the arc is zero iff the count is positive).
+    dead: Vec<u32>,
+    /// Representative tuple per node, for cut translation.
+    tuple_of: Vec<Option<TupleId>>,
+    network: VertexCutNetwork,
+    cut_buf: Vec<usize>,
+}
+
+impl TupleNetwork {
+    /// Empties the network for a build over `num_tuples` tuples and adds the
+    /// source and target; `warm` builds also reset the per-tuple deletion
+    /// bookkeeping.
+    fn reset(&mut self, num_tuples: usize, warm: bool) {
+        if self.node_of.len() < num_tuples {
+            self.node_of.resize(num_tuples, u32::MAX);
+        }
+        for t in self.mapped.drain(..) {
+            self.node_of[t.index()] = u32::MAX;
+        }
+        if warm {
+            self.unmodeled.clear();
+            self.unmodeled.resize(num_tuples, false);
+            self.applied.clear();
+            self.applied.resize(num_tuples, false);
+        }
+        self.orig_cap.clear();
+        self.dead.clear();
+        self.tuple_of.clear();
+        self.network.clear();
+        self.add_node(INF, 0, None);
+        self.add_node(INF, 0, None);
+    }
+
+    /// Adds a node whose split arc starts at `built_cap` (or zero when some
+    /// member is already deleted) and records the per-node bookkeeping.
+    fn add_node(&mut self, built_cap: u64, dead_members: u32, t: Option<TupleId>) -> u32 {
+        let initial = if dead_members > 0 { 0 } else { built_cap };
+        let n = self.network.add_vertex(initial);
+        debug_assert_eq!(n, self.orig_cap.len());
+        self.orig_cap.push(built_cap);
+        self.dead.push(dead_members);
+        self.tuple_of.push(t);
+        n as u32
+    }
+
+    /// Records that `node` models tuple `t` (and, on warm builds, whether
+    /// `t`'s deletion is applied).
+    fn map(&mut self, t: TupleId, node: u32, deleted: Option<&[bool]>) {
+        self.node_of[t.index()] = node;
+        self.mapped.push(t);
+        if let Some(deleted) = deleted {
+            self.applied[t.index()] = deleted[t.index()];
+        }
+    }
+
+    /// The node of tuple `t`, created with capacity `cap` on first use (its
+    /// arc zeroed when `t` is deleted).
+    fn node(&mut self, t: TupleId, cap: u64, deleted: Option<&[bool]>) -> u32 {
+        match self.node_of[t.index()] {
+            u32::MAX => {
+                let dead = deleted.is_some_and(|d| d[t.index()]) as u32;
+                let n = self.add_node(cap, dead, Some(t));
+                self.map(t, n, deleted);
+                n
+            }
+            n => n,
+        }
+    }
+
+    /// Adds the deduplicated edges and runs the max flow from zero, keeping
+    /// it resident.
+    fn run(
+        &mut self,
+        edges: &mut Vec<(u32, u32)>,
+        stop: &mut dyn FnMut() -> bool,
+    ) -> Result<u64, FlowInterrupted> {
+        edges.sort_unstable();
+        edges.dedup();
+        for &(from, to) in edges.iter() {
+            self.network.add_edge(from as usize, to as usize);
+        }
+        self.network
+            .warm_build(SOURCE as usize, TARGET as usize, stop)
+    }
+
+    /// The answer of a resident maximum flow of `value`: `None` past
+    /// `INF / 2` (some live witness has no cuttable tuple), else the cut
+    /// value and, when wanted, the tuples of the cut vertices.
+    fn result(&mut self, value: u64, want_contingency: bool) -> Option<FlowResult> {
+        if value >= INF / 2 {
+            return None;
+        }
+        let mut contingency = Vec::new();
+        if want_contingency {
+            self.network.warm_cut_vertices(&mut self.cut_buf);
+            contingency.extend(self.cut_buf.iter().filter_map(|&v| self.tuple_of[v]));
+        }
+        Some(FlowResult {
+            resilience: value as usize,
+            contingency,
+        })
+    }
+
+    /// Applies the deletion-state changes of the `touched` tuples to a warm
+    /// network: zero-and-repair newly deleted arcs, restore revived ones.
+    /// Returns the augmenting paths the repairs walked, or `None` when a
+    /// deletion sits on an unmodelled atom.
+    fn apply_deltas(&mut self, deleted: &[bool], touched: &[TupleId]) -> Option<u64> {
+        let mut repaired = 0;
+        for &t in touched {
+            let desired = deleted[t.index()];
+            if self.applied[t.index()] == desired {
+                continue;
+            }
+            let node = self.node_of[t.index()];
+            if node == u32::MAX {
+                if desired && self.unmodeled[t.index()] {
+                    return None;
+                }
+                // Not on any witness: no flow impact.
+                self.applied[t.index()] = desired;
+                continue;
+            }
+            self.applied[t.index()] = desired;
+            let node = node as usize;
+            if desired {
+                self.dead[node] += 1;
+                if self.dead[node] == 1 {
+                    repaired += self.network.warm_set_capacity(node, 0).paths;
+                }
+            } else {
+                self.dead[node] -= 1;
+                if self.dead[node] == 0 {
+                    self.network.warm_set_capacity(node, self.orig_cap[node]);
+                }
+            }
+        }
+        Some(repaired)
+    }
+}
+
+/// Which construction built a resident warm network.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum WarmKind {
+    WitnessPath,
+    Permutation,
+    Rep,
+}
+
+/// Per-session warm flow state: the split network of the *full* witness set
+/// stays resident across steps, deletions are expressed by zeroing the
+/// deleted tuple's node arc (draining the overflow through the residual
+/// graph) and restores re-add capacity, so each re-solve runs Dinic from the
+/// repaired residual instead of from scratch.
 ///
-/// Tuples become nodes (capacity 1 if endogenous and not listed in
-/// `uncuttable`, infinite otherwise); every witness contributes the s–t path
-/// that visits its tuples in the order the atoms appear in `atom_order`.
-/// For *linear* atom orders every hybrid s–t path of the resulting graph is
-/// itself a witness, so the minimum vertex cut equals the resilience.
-///
-/// Returns `None` if some witness has no cuttable tuple at all.
-pub fn witness_path_flow<S: TupleStore + ?Sized>(
-    q: &Query,
-    db: &S,
-    ws: &WitnessSet,
-    atom_order: &[usize],
-    uncuttable: &HashSet<TupleId>,
-) -> Option<FlowResult> {
-    witness_path_flow_opts(q, db, ws, atom_order, uncuttable, true)
+/// Correctness rests on the same hybrid-path property that justifies the
+/// cold constructions: every s–t path of the full network is itself a
+/// witness, so the paths that avoid the zeroed arcs are exactly the
+/// witnesses of the live instance and the repaired min cut equals the cold
+/// min cut over the live view.
+#[derive(Clone, Debug, Default)]
+pub struct FlowWarmState {
+    /// The construction whose network `net` holds, when it is usable.
+    built: Option<WarmKind>,
+    net: TupleNetwork,
+    /// Augmenting paths repaired during the last step's delta application.
+    pub step_repaired: u64,
+    /// Augmenting paths added by the last step's re-augmentation.
+    pub step_reaugmented: u64,
+    /// The last step rebuilt the network cold (or fell back cold).
+    pub step_rebuilt: bool,
+    /// The last step reused the resident residual state.
+    pub step_reused: bool,
 }
 
-/// [`witness_path_flow`] with contingency extraction made optional: with
-/// `want_contingency = false` only the cut *value* is computed (the
-/// residual-reachability sweep and cut translation are skipped) and the
-/// returned contingency is empty.
-pub fn witness_path_flow_opts<S: TupleStore + ?Sized>(
-    q: &Query,
-    db: &S,
-    ws: &WitnessSet,
-    atom_order: &[usize],
-    uncuttable: &HashSet<TupleId>,
-    want_contingency: bool,
-) -> Option<FlowResult> {
-    let mut scratch = FlowScratch::new();
-    // Dense cuttability mask: endogenous and not frozen by the caller.
-    scratch.cuttable = db.endogenous_mask(q);
-    for t in uncuttable {
-        scratch.cuttable[t.index()] = false;
+impl FlowWarmState {
+    /// Creates empty (invalid) warm state; the first solve builds it.
+    pub fn new() -> Self {
+        Self::default()
     }
-    uncancelled(witness_path_flow_core(
-        db,
-        ws.view(),
-        atom_order,
-        want_contingency,
-        &mut scratch,
-        None,
-    ))
-}
 
-/// Unwraps a cancellable flow result produced without a token (which can
-/// therefore never be the cancelled variant).
-fn uncancelled(result: Result<Option<FlowResult>, FlowCancelled>) -> Option<FlowResult> {
-    match result {
-        Ok(flow) => flow,
-        Err(_) => unreachable!("no token was supplied, so the flow cannot be cancelled"),
+    /// Drops the resident network; the next warm solve rebuilds from the
+    /// full view and the current deletion mask.
+    pub fn invalidate(&mut self) {
+        self.built = None;
+    }
+
+    fn begin_step(&mut self) {
+        self.step_repaired = 0;
+        self.step_reaugmented = 0;
+        self.step_rebuilt = false;
+        self.step_reused = false;
     }
 }
 
-/// [`witness_path_flow_opts`] over a (possibly live-restricted)
-/// [`WitnessView`] with caller-owned scratch. `scratch.cuttable` must hold
-/// the cuttability mask (endogenous tuples minus any caller-frozen ones)
-/// before the call — session callers cache it across steps.
+/// Borrowed per-step warm context: the session's resident state, the full
+/// witness view (for rebuilds), its current deletion mask and the tuples
+/// whose state changed since the warm network last applied deltas (drained
+/// on success).
+pub struct WarmSession<'a> {
+    /// The session-resident warm state.
+    pub state: &'a mut FlowWarmState,
+    /// Every witness of the session's instance, deleted or not.
+    pub full: WitnessView<'a>,
+    /// Current deletion mask, indexed by tuple.
+    pub deleted: &'a [bool],
+    /// Tuples whose deletion state changed since the last warm application.
+    pub touched: &'a mut Vec<TupleId>,
+}
+
+/// [`FlowConstruction::WitnessPath`] over `atom_order`, solved cold and
+/// never stopping. `scratch.cuttable` must hold the cuttability mask (see
+/// [`seed_cuttable_mask`]).
 pub fn witness_path_flow_live<S: TupleStore + ?Sized>(
     db: &S,
     view: WitnessView<'_>,
@@ -222,143 +667,51 @@ pub fn witness_path_flow_live<S: TupleStore + ?Sized>(
     want_contingency: bool,
     scratch: &mut FlowScratch,
 ) -> Option<FlowResult> {
-    uncancelled(witness_path_flow_core(
-        db,
-        view,
-        atom_order,
-        want_contingency,
-        scratch,
-        None,
-    ))
+    FlowConstruction::WitnessPath { order: atom_order }
+        .solve(db, view, want_contingency, scratch, &mut || false, None)
+        .expect("the never-stop callback cannot interrupt the run")
 }
 
-/// [`witness_path_flow_live`] with an optional [`CancelToken`], polled at
-/// bounded intervals inside the max-flow run. `Err` reports the partial flow
-/// routed before cancellation; the `Ok` results are identical to the
-/// token-free function.
-pub fn witness_path_flow_live_cancellable<S: TupleStore + ?Sized>(
+/// [`FlowConstruction::Permutation`] for `q`, solved cold and never
+/// stopping. `scratch.cuttable` must hold the endogenous mask of `q` (see
+/// [`seed_cuttable_mask`]).
+pub fn permutation_flow_live<S: TupleStore + ?Sized>(
+    q: &Query,
+    db: &S,
+    view: WitnessView<'_>,
+    want_contingency: bool,
+    scratch: &mut FlowScratch,
+) -> Option<FlowResult> {
+    FlowConstruction::Permutation { query: q }
+        .solve(db, view, want_contingency, scratch, &mut || false, None)
+        .expect("the never-stop callback cannot interrupt the run")
+}
+
+/// [`FlowConstruction::Rep`] for `q` over `atom_order`, solved cold and
+/// never stopping. `scratch.cuttable` must hold the endogenous mask of `q`
+/// on entry; the off-diagonal REP tuples are frozen in place.
+pub fn rep_flow_live<S: TupleStore + ?Sized>(
+    q: &Query,
     db: &S,
     view: WitnessView<'_>,
     atom_order: &[usize],
     want_contingency: bool,
     scratch: &mut FlowScratch,
-    cancel: Option<&CancelToken>,
-) -> Result<Option<FlowResult>, FlowCancelled> {
-    witness_path_flow_core(db, view, atom_order, want_contingency, scratch, cancel)
-}
-
-/// Seeds `scratch.cuttable` with the endogenous mask of `q` over `db`
-/// (reusing the buffer). Callers may then freeze further tuples before
-/// running [`witness_path_flow_live`].
-pub fn seed_cuttable_mask<S: TupleStore + ?Sized>(q: &Query, db: &S, scratch: &mut FlowScratch) {
-    db.endogenous_mask_into(q, &mut scratch.cuttable);
-}
-
-/// Marks `t` uncuttable in `scratch.cuttable`.
-pub fn freeze_tuple(t: TupleId, scratch: &mut FlowScratch) {
-    if t.index() < scratch.cuttable.len() {
-        scratch.cuttable[t.index()] = false;
+) -> Option<FlowResult> {
+    FlowConstruction::Rep {
+        query: q,
+        order: atom_order,
     }
-}
-
-fn witness_path_flow_core<S: TupleStore + ?Sized>(
-    db: &S,
-    view: WitnessView<'_>,
-    atom_order: &[usize],
-    want_contingency: bool,
-    scratch: &mut FlowScratch,
-    cancel: Option<&CancelToken>,
-) -> Result<Option<FlowResult>, FlowCancelled> {
-    if view.is_empty() {
-        return Ok(Some(FlowResult {
-            resilience: 0,
-            contingency: Vec::new(),
-        }));
-    }
-    let FlowScratch {
-        node_of,
-        touched,
-        tuple_of,
-        edges,
-        cuttable,
-        network,
-        ..
-    } = scratch;
-    network.clear();
-    let source = network.add_vertex(INF);
-    let target = network.add_vertex(INF);
-    let mut nodes = NodeMap::prepare(node_of, touched, tuple_of, db.num_tuples());
-
-    edges.clear();
-    for w in view.witnesses() {
-        // Check the witness can be destroyed at all.
-        if !w.atom_tuples.iter().any(|t| cuttable[t.index()]) {
-            return Ok(None);
-        }
-        let mut prev = source;
-        for &atom_idx in atom_order {
-            let t = w.atom_tuples[atom_idx];
-            let cap = if cuttable[t.index()] { 1 } else { INF };
-            let n = nodes.node(t, network, cap);
-            if n != prev {
-                edges.push((prev as u32, n as u32));
-            }
-            prev = n;
-        }
-        edges.push((prev as u32, target as u32));
-    }
-    dedup_edges(edges);
-    for &(from, to) in edges.iter() {
-        network.add_edge(from as usize, to as usize);
-    }
-    let mut stop = stop_from_token(cancel);
-    if !want_contingency {
-        let value = network
-            .min_vertex_cut_value_interruptible(source, target, &mut stop)
-            .map_err(|e| FlowCancelled {
-                partial_flow: e.partial_flow,
-            })?;
-        return Ok(Some(FlowResult {
-            resilience: value as usize,
-            contingency: Vec::new(),
-        }));
-    }
-    let cut = network
-        .min_vertex_cut_interruptible(source, target, &mut stop)
-        .map_err(|e| FlowCancelled {
-            partial_flow: e.partial_flow,
-        })?;
-    let contingency: Vec<TupleId> = cut
-        .cut_vertices
-        .iter()
-        .filter_map(|&v| nodes.tuple(v))
-        .collect();
-    Ok(Some(FlowResult {
-        resilience: cut.value as usize,
-        contingency,
-    }))
-}
-
-/// Witness-path flow using the query's own linear order of all atoms.
-/// Returns `None` if the query is not linear or some witness is uncuttable.
-pub fn linear_query_flow<S: TupleStore + ?Sized>(q: &Query, db: &S) -> Option<FlowResult> {
-    let order = linear_order_all(q)?;
-    let ws = WitnessSet::build(q, db);
-    witness_path_flow(q, db, &ws, &order, &HashSet::new())
+    .solve(db, view, want_contingency, scratch, &mut || false, None)
+    .expect("the never-stop callback cannot interrupt the run")
 }
 
 /// Minimum hitting set when every witness touches at most two endogenous
 /// tuples: this is vertex cover over the "conflict graph" of tuples, solvable
 /// by König's theorem whenever that graph is bipartite. Returns `None` when
 /// some witness has more than two endogenous tuples, no endogenous tuple, or
-/// the conflict graph is not bipartite.
-pub fn pairwise_bipartite_resilience(ws: &WitnessSet) -> Option<usize> {
-    pairwise_bipartite_resilience_view(ws.view())
-}
-
-/// [`pairwise_bipartite_resilience`] over a (possibly live-restricted)
-/// [`WitnessView`] — the engine's deletion sessions pass the live rows
-/// directly instead of materializing a filtered witness set.
+/// the conflict graph is not bipartite. Takes a (possibly live-restricted)
+/// [`WitnessView`], so deletion sessions pass their live rows directly.
 pub fn pairwise_bipartite_resilience_view(view: WitnessView<'_>) -> Option<usize> {
     use satgad::UndirectedGraph;
 
@@ -392,739 +745,13 @@ pub fn pairwise_bipartite_resilience_view(view: WitnessView<'_>) -> Option<usize
     Some(forced.len() + vc)
 }
 
-/// Resilience of an unbound 2-permutation query (Propositions 33 and 35,
-/// "case 1"). The self-join relation `R` occurs as `R(x,y), R(y,x)`; every
-/// witness either uses a symmetric pair `{R(a,b), R(b,a)}` (or a loop
-/// `R(a,a)`), of which a minimum contingency set deletes exactly one, or is
-/// destroyed further left. The construction collapses each symmetric pair to
-/// a single unit-capacity "pair node" placed after the remaining endogenous
-/// tuples of the witness (taken in the query's pseudo-linear order).
-pub fn permutation_flow_resilience<S: TupleStore + ?Sized>(
-    q: &Query,
-    db: &S,
-) -> Option<FlowResult> {
-    let ws = WitnessSet::build(q, db);
-    permutation_flow_with(q, db, &ws, true)
-}
-
-/// [`permutation_flow_resilience`] over an already-built witness set, with
-/// optional contingency extraction. Used by the engine so the per-instance
-/// witness enumeration is shared with the dispatcher.
-pub fn permutation_flow_with<S: TupleStore + ?Sized>(
-    q: &Query,
-    db: &S,
-    ws: &WitnessSet,
-    want_contingency: bool,
-) -> Option<FlowResult> {
-    let mut scratch = FlowScratch::new();
-    seed_cuttable_mask(q, db, &mut scratch);
-    permutation_flow_live(q, db, ws.view(), want_contingency, &mut scratch)
-}
-
-/// [`permutation_flow_with`] over a (possibly live-restricted)
-/// [`WitnessView`] with caller-owned scratch. `scratch.cuttable` must hold
-/// the endogenous mask of `q` (see [`seed_cuttable_mask`]).
-pub fn permutation_flow_live<S: TupleStore + ?Sized>(
-    q: &Query,
-    db: &S,
-    view: WitnessView<'_>,
-    want_contingency: bool,
-    scratch: &mut FlowScratch,
-) -> Option<FlowResult> {
-    uncancelled(permutation_flow_live_cancellable(
-        q,
-        db,
-        view,
-        want_contingency,
-        scratch,
-        None,
-    ))
-}
-
-/// [`permutation_flow_live`] with an optional [`CancelToken`], polled at
-/// bounded intervals inside the max-flow run (see
-/// [`witness_path_flow_live_cancellable`]).
-pub fn permutation_flow_live_cancellable<S: TupleStore + ?Sized>(
-    q: &Query,
-    db: &S,
-    view: WitnessView<'_>,
-    want_contingency: bool,
-    scratch: &mut FlowScratch,
-    cancel: Option<&CancelToken>,
-) -> Result<Option<FlowResult>, FlowCancelled> {
-    let Some((rel, r_atoms)) = single_self_join_relation(q) else {
-        return Ok(None);
-    };
-    if r_atoms.len() != 2 {
-        return Ok(None);
-    }
-    if view.is_empty() {
-        return Ok(Some(FlowResult {
-            resilience: 0,
-            contingency: Vec::new(),
-        }));
-    }
-    let r_is_endogenous = r_atoms.iter().any(|&i| !q.atom(i).exogenous);
-
-    // Order of the non-R atoms: keep query order restricted to endogenous
-    // non-R atoms (pseudo-linear for the queries this is applied to).
-    let left_atoms: Vec<usize> = (0..q.num_atoms())
-        .filter(|i| !r_atoms.contains(i) && !q.atom(*i).exogenous)
-        .collect();
-
-    let FlowScratch {
-        node_of,
-        touched,
-        tuple_of,
-        edges,
-        cuttable: endo,
-        pair_node,
-        network,
-    } = scratch;
-    network.clear();
-    let source = network.add_vertex(INF);
-    let target = network.add_vertex(INF);
-    let mut nodes = NodeMap::prepare(node_of, touched, tuple_of, db.num_tuples());
-    pair_node.clear();
-    edges.clear();
-
-    let _ = rel; // the relation id is implied by `r_atoms`
-
-    for w in view.witnesses() {
-        let mut prev = source;
-        for &atom_idx in &left_atoms {
-            let t = w.atom_tuples[atom_idx];
-            let cap = if endo[t.index()] { 1 } else { INF };
-            let n = nodes.node(t, network, cap);
-            if n != prev {
-                edges.push((prev as u32, n as u32));
-            }
-            prev = n;
-        }
-        // The symmetric pair used by this witness.
-        let t1 = w.atom_tuples[r_atoms[0]];
-        let t2 = w.atom_tuples[r_atoms[1]];
-        let key = if t1 <= t2 { (t1, t2) } else { (t2, t1) };
-        let n = match pair_node.get(&key) {
-            Some(&n) => n as usize,
-            None => {
-                let cap = if r_is_endogenous && endo[key.0.index()] {
-                    1
-                } else {
-                    INF
-                };
-                let n = network.add_vertex(cap);
-                pair_node.insert(key, n as u32);
-                nodes.register(n, key.0);
-                n
-            }
-        };
-        if n != prev {
-            edges.push((prev as u32, n as u32));
-        }
-        edges.push((n as u32, target as u32));
-
-        // Guard against unfalsifiable witnesses.
-        if !w.atom_tuples.iter().any(|t| endo[t.index()]) {
-            return Ok(None);
-        }
-    }
-    dedup_edges(edges);
-    for &(from, to) in edges.iter() {
-        network.add_edge(from as usize, to as usize);
-    }
-    let mut stop = stop_from_token(cancel);
-    if !want_contingency {
-        let value = network
-            .min_vertex_cut_value_interruptible(source, target, &mut stop)
-            .map_err(|e| FlowCancelled {
-                partial_flow: e.partial_flow,
-            })?;
-        return Ok(Some(FlowResult {
-            resilience: value as usize,
-            contingency: Vec::new(),
-        }));
-    }
-    let cut = network
-        .min_vertex_cut_interruptible(source, target, &mut stop)
-        .map_err(|e| FlowCancelled {
-            partial_flow: e.partial_flow,
-        })?;
-    let contingency: Vec<TupleId> = cut
-        .cut_vertices
-        .iter()
-        .filter_map(|&v| nodes.tuple(v))
-        .collect();
-    Ok(Some(FlowResult {
-        resilience: cut.value as usize,
-        contingency,
-    }))
-}
-
-/// Resilience of a REP query containing `z3` (Proposition 36): tuples
-/// `R(a,b)` with `a != b` are never needed in a minimum contingency set, so
-/// they are treated as uncuttable and the witness-path flow applies over the
-/// pseudo-linear order of the endogenous atoms.
-pub fn rep_flow_resilience<S: TupleStore + ?Sized>(q: &Query, db: &S) -> Option<FlowResult> {
-    let ws = WitnessSet::build(q, db);
-    let order = rep_atom_order(q);
-    rep_flow_with(q, db, &ws, &order, true)
-}
-
-/// The atom order the REP flow walks: linear, else pseudo-linear, else
-/// query order. Depends only on the query, so batch callers (the engine)
-/// compute it once per compilation.
-pub fn rep_atom_order(q: &Query) -> Vec<usize> {
-    cq::linear::linear_order_all(q)
-        .or_else(|| cq::linear::pseudo_linear_order(q))
-        .unwrap_or_else(|| (0..q.num_atoms()).collect())
-}
-
-/// [`rep_flow_resilience`] over an already-built witness set and a
-/// precomputed [`rep_atom_order`], with optional contingency extraction
-/// (engine entry point).
-pub fn rep_flow_with<S: TupleStore + ?Sized>(
-    q: &Query,
-    db: &S,
-    ws: &WitnessSet,
-    atom_order: &[usize],
-    want_contingency: bool,
-) -> Option<FlowResult> {
-    let mut scratch = FlowScratch::new();
-    seed_cuttable_mask(q, db, &mut scratch);
-    rep_flow_live(q, db, ws.view(), atom_order, want_contingency, &mut scratch)
-}
-
-/// [`rep_flow_with`] over a (possibly live-restricted) [`WitnessView`] with
-/// caller-owned scratch. `scratch.cuttable` must hold the endogenous mask of
-/// `q` on entry; the off-diagonal REP tuples are frozen in place here
-/// (Proposition 36: they are never needed in a minimum contingency set).
-pub fn rep_flow_live<S: TupleStore + ?Sized>(
-    q: &Query,
-    db: &S,
-    view: WitnessView<'_>,
-    atom_order: &[usize],
-    want_contingency: bool,
-    scratch: &mut FlowScratch,
-) -> Option<FlowResult> {
-    uncancelled(rep_flow_live_cancellable(
-        q,
-        db,
-        view,
-        atom_order,
-        want_contingency,
-        scratch,
-        None,
-    ))
-}
-
-/// [`rep_flow_live`] with an optional [`CancelToken`], polled at bounded
-/// intervals inside the max-flow run (see
-/// [`witness_path_flow_live_cancellable`]).
-pub fn rep_flow_live_cancellable<S: TupleStore + ?Sized>(
-    q: &Query,
-    db: &S,
-    view: WitnessView<'_>,
-    atom_order: &[usize],
-    want_contingency: bool,
-    scratch: &mut FlowScratch,
-    cancel: Option<&CancelToken>,
-) -> Result<Option<FlowResult>, FlowCancelled> {
-    let Some((rel, _)) = single_self_join_relation(q) else {
-        return Ok(None);
-    };
-    let Some(db_rel) = db.schema().relation_id(q.schema().name(rel)) else {
-        return Ok(None);
-    };
-    for &t in db.tuples_of(db_rel) {
-        let vals = db.values_of(t);
-        if vals.len() == 2 && vals[0] != vals[1] {
-            freeze_tuple(t, scratch);
-        }
-    }
-    witness_path_flow_core(db, view, atom_order, want_contingency, scratch, cancel)
-}
-
-/// Warm solve could not express the current deletion set on the resident
-/// network (permutation construction: a deleted tuple sits on an atom the
-/// pair-node network does not model); the caller must re-run the cold
-/// construction for this step. The warm state is invalidated so the next
-/// step attempts a fresh build.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct WarmFallback;
-
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-enum WarmKind {
-    #[default]
-    None,
-    WitnessPath,
-    Permutation,
-}
-
-/// Per-session warm flow state: the split network of the *full* witness set
-/// stays resident across steps, deletions are expressed by zeroing the
-/// deleted tuple's node arc (draining the overflow through the residual
-/// graph) and restores re-add capacity, so each re-solve runs Dinic from the
-/// repaired residual instead of from scratch.
-///
-/// Correctness rests on the same hybrid-path property that justifies the
-/// cold constructions: every s–t path of the full network is itself a
-/// witness, so the paths that avoid the zeroed arcs are exactly the
-/// witnesses of the live instance and the repaired min cut equals the cold
-/// min cut over the live view.
-#[derive(Clone, Debug, Default)]
-pub struct FlowWarmState {
-    valid: bool,
-    kind: WarmKind,
-    /// `arc_of[t]` is the node whose split arc models tuple `t` (`u32::MAX`
-    /// when `t` has no node in the resident network).
-    arc_of: Vec<u32>,
-    /// `t` appears in some witness but has no node (permutation construction
-    /// only: exogenous non-R atoms). Deleting such a tuple cannot be
-    /// expressed by arc zeroing and forces a cold fallback.
-    unmodeled: Vec<bool>,
-    /// Deletion state currently applied to the network, per tuple.
-    applied: Vec<bool>,
-    /// Built capacity of each node's split arc (restored when the last
-    /// deleted member of the node comes back).
-    orig_cap: Vec<u64>,
-    /// Number of currently-deleted member tuples per node (pair nodes have
-    /// up to two members; the arc is zero iff the count is positive).
-    dead: Vec<u32>,
-    /// Representative tuple per node, for cut translation.
-    tuple_of: Vec<Option<TupleId>>,
-    network: VertexCutNetwork,
-    source: usize,
-    target: usize,
-    cut_buf: Vec<usize>,
-    /// Cumulative: augmenting paths rerouted/drained by deletion repairs.
-    pub repairs: u64,
-    /// Cumulative: augmenting paths found by post-delta re-augmentation.
-    pub reaugmentations: u64,
-    /// Cumulative: cold (re)builds, including fallbacks to the cold solver.
-    pub cold_fallbacks: u64,
-    /// Augmenting paths repaired during the last step's delta application.
-    pub step_repaired: u64,
-    /// Augmenting paths added by the last step's re-augmentation.
-    pub step_reaugmented: u64,
-    /// The last step rebuilt the network cold (or fell back cold).
-    pub step_rebuilt: bool,
-    /// The last step reused the resident residual state.
-    pub step_reused: bool,
-}
-
-impl FlowWarmState {
-    /// Creates empty (invalid) warm state; the first solve builds it.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Drops the resident network; the next warm solve rebuilds from the
-    /// full view and the current deletion mask.
-    pub fn invalidate(&mut self) {
-        self.valid = false;
-        self.kind = WarmKind::None;
-    }
-
-    /// Whether a resident network is currently valid.
-    pub fn is_valid(&self) -> bool {
-        self.valid
-    }
-
-    fn begin_step(&mut self) {
-        self.step_repaired = 0;
-        self.step_reaugmented = 0;
-        self.step_rebuilt = false;
-        self.step_reused = false;
-    }
-
-    fn reset(&mut self, num_tuples: usize, kind: WarmKind) {
-        self.valid = false;
-        self.kind = kind;
-        self.arc_of.clear();
-        self.arc_of.resize(num_tuples, u32::MAX);
-        self.unmodeled.clear();
-        self.unmodeled.resize(num_tuples, false);
-        self.applied.clear();
-        self.applied.resize(num_tuples, false);
-        self.orig_cap.clear();
-        self.dead.clear();
-        self.tuple_of.clear();
-        self.network.clear();
-        self.cold_fallbacks += 1;
-        self.step_rebuilt = true;
-    }
-
-    /// Adds a node whose split arc starts at `built_cap` (or zero when some
-    /// member is already deleted) and records the per-node bookkeeping.
-    fn add_node(&mut self, built_cap: u64, dead_members: u32, t: Option<TupleId>) -> usize {
-        let initial = if dead_members > 0 { 0 } else { built_cap };
-        let n = self.network.add_vertex(initial);
-        debug_assert_eq!(n, self.orig_cap.len());
-        self.orig_cap.push(built_cap);
-        self.dead.push(dead_members);
-        self.tuple_of.push(t);
-        n
-    }
-
-    /// Applies the deletion-state deltas accumulated since the last warm
-    /// solve: zero-and-repair newly deleted arcs, restore revived ones.
-    fn apply_deltas(&mut self, deleted: &[bool], touched: &[TupleId]) -> Result<(), WarmFallback> {
-        self.step_reused = true;
-        for &t in touched {
-            let desired = deleted[t.index()];
-            if self.applied[t.index()] == desired {
-                continue;
-            }
-            let node = self.arc_of[t.index()];
-            if node == u32::MAX {
-                if desired && self.unmodeled[t.index()] {
-                    self.valid = false;
-                    self.cold_fallbacks += 1;
-                    self.step_rebuilt = true;
-                    return Err(WarmFallback);
-                }
-                // Not on any witness: no flow impact.
-                self.applied[t.index()] = desired;
-                continue;
-            }
-            self.applied[t.index()] = desired;
-            let node = node as usize;
-            if desired {
-                self.dead[node] += 1;
-                if self.dead[node] == 1 {
-                    let out = self.network.warm_set_capacity(node, 0);
-                    self.step_repaired += out.paths;
-                }
-            } else {
-                self.dead[node] -= 1;
-                if self.dead[node] == 0 {
-                    self.network.warm_set_capacity(node, self.orig_cap[node]);
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// Re-augments from the repaired residual and extracts the result.
-    /// `Ok(None)` mirrors the cold constructions' "some live witness is
-    /// uncuttable" answer (its all-infinite path keeps the flow above
-    /// `INF / 2`); the state stays valid for later steps.
-    fn finish_solve(&mut self, want_contingency: bool) -> Option<FlowResult> {
-        let (value, paths) = self.network.warm_reaugment();
-        self.step_reaugmented += paths;
-        self.reaugmentations += paths;
-        self.repairs += self.step_repaired;
-        if value >= INF / 2 {
-            return None;
-        }
-        if !want_contingency {
-            return Some(FlowResult {
-                resilience: value as usize,
-                contingency: Vec::new(),
-            });
-        }
-        let mut cut = std::mem::take(&mut self.cut_buf);
-        self.network.warm_cut_vertices(&mut cut);
-        let contingency: Vec<TupleId> = cut
-            .iter()
-            .filter_map(|&v| self.tuple_of.get(v).copied().flatten())
-            .collect();
-        self.cut_buf = cut;
-        Some(FlowResult {
-            resilience: value as usize,
-            contingency,
-        })
-    }
-
-    /// Builds the witness-path network over the full view with the current
-    /// deletions pre-zeroed, then runs the initial max flow.
-    fn build_witness_path<S: TupleStore + ?Sized>(
-        &mut self,
-        db: &S,
-        full: WitnessView<'_>,
-        atom_order: &[usize],
-        cuttable: &[bool],
-        edges: &mut Vec<(u32, u32)>,
-        deleted: &[bool],
-    ) {
-        self.reset(db.num_tuples(), WarmKind::WitnessPath);
-        let source = self.add_node(INF, 0, None);
-        let target = self.add_node(INF, 0, None);
-        edges.clear();
-        for w in full.witnesses() {
-            // Unlike the cold construction there is no uncuttable-witness
-            // bail: an uncuttable witness contributes an all-infinite path,
-            // so the repaired flow exceeds `INF / 2` exactly when some *live*
-            // witness is uncuttable.
-            let mut prev = source;
-            for &atom_idx in atom_order {
-                let t = w.atom_tuples[atom_idx];
-                let n = match self.arc_of[t.index()] {
-                    u32::MAX => {
-                        let cap = if cuttable[t.index()] { 1 } else { INF };
-                        let is_dead = deleted[t.index()];
-                        let n = self.add_node(cap, is_dead as u32, Some(t));
-                        self.arc_of[t.index()] = n as u32;
-                        self.applied[t.index()] = is_dead;
-                        n
-                    }
-                    n => n as usize,
-                };
-                if n != prev {
-                    edges.push((prev as u32, n as u32));
-                }
-                prev = n;
-            }
-            edges.push((prev as u32, target as u32));
-        }
-        dedup_edges(edges);
-        for &(from, to) in edges.iter() {
-            self.network.add_edge(from as usize, to as usize);
-        }
-        self.source = source;
-        self.target = target;
-        self.network.warm_build(source, target);
-        self.valid = true;
-    }
-
-    /// Builds the pair-node permutation network over the full view with the
-    /// current deletions pre-zeroed. Fails (cold fallback) when a currently
-    /// deleted tuple sits on an atom the construction does not model.
-    #[allow(clippy::too_many_arguments)]
-    fn build_permutation<S: TupleStore + ?Sized>(
-        &mut self,
-        db: &S,
-        full: WitnessView<'_>,
-        left_atoms: &[usize],
-        r_atoms: &[usize],
-        r_is_endogenous: bool,
-        endo: &[bool],
-        pair_node: &mut FxHashMap<(TupleId, TupleId), u32>,
-        edges: &mut Vec<(u32, u32)>,
-        deleted: &[bool],
-    ) -> Result<(), WarmFallback> {
-        self.reset(db.num_tuples(), WarmKind::Permutation);
-        let source = self.add_node(INF, 0, None);
-        let target = self.add_node(INF, 0, None);
-        pair_node.clear();
-        edges.clear();
-        let num_atoms = full
-            .witnesses()
-            .next()
-            .map(|w| w.atom_tuples.len())
-            .unwrap_or(0);
-        let skipped_atoms: Vec<usize> = (0..num_atoms)
-            .filter(|i| !left_atoms.contains(i) && !r_atoms.contains(i))
-            .collect();
-        for w in full.witnesses() {
-            let mut prev = source;
-            for &atom_idx in left_atoms {
-                let t = w.atom_tuples[atom_idx];
-                let n = match self.arc_of[t.index()] {
-                    u32::MAX => {
-                        let cap = if endo[t.index()] { 1 } else { INF };
-                        let is_dead = deleted[t.index()];
-                        let n = self.add_node(cap, is_dead as u32, Some(t));
-                        self.arc_of[t.index()] = n as u32;
-                        self.applied[t.index()] = is_dead;
-                        n
-                    }
-                    n => n as usize,
-                };
-                if n != prev {
-                    edges.push((prev as u32, n as u32));
-                }
-                prev = n;
-            }
-            let t1 = w.atom_tuples[r_atoms[0]];
-            let t2 = w.atom_tuples[r_atoms[1]];
-            let key = if t1 <= t2 { (t1, t2) } else { (t2, t1) };
-            let n = match pair_node.get(&key) {
-                Some(&n) => n as usize,
-                None => {
-                    let cap = if r_is_endogenous && endo[key.0.index()] {
-                        1
-                    } else {
-                        INF
-                    };
-                    let mut dead_members = deleted[key.0.index()] as u32;
-                    if key.1 != key.0 {
-                        dead_members += deleted[key.1.index()] as u32;
-                    }
-                    let n = self.add_node(cap, dead_members, Some(key.0));
-                    pair_node.insert(key, n as u32);
-                    self.arc_of[key.0.index()] = n as u32;
-                    self.applied[key.0.index()] = deleted[key.0.index()];
-                    if key.1 != key.0 {
-                        self.arc_of[key.1.index()] = n as u32;
-                        self.applied[key.1.index()] = deleted[key.1.index()];
-                    }
-                    n
-                }
-            };
-            if n != prev {
-                edges.push((prev as u32, n as u32));
-            }
-            edges.push((n as u32, target as u32));
-            // Atoms outside the construction (exogenous non-R): their
-            // deletion cannot be expressed on this network.
-            for &atom_idx in &skipped_atoms {
-                let t = w.atom_tuples[atom_idx];
-                if self.arc_of[t.index()] == u32::MAX {
-                    self.unmodeled[t.index()] = true;
-                    if deleted[t.index()] {
-                        self.valid = false;
-                        return Err(WarmFallback);
-                    }
-                }
-            }
-        }
-        dedup_edges(edges);
-        for &(from, to) in edges.iter() {
-            self.network.add_edge(from as usize, to as usize);
-        }
-        self.source = source;
-        self.target = target;
-        self.network.warm_build(source, target);
-        self.valid = true;
-        Ok(())
-    }
-}
-
-/// Borrowed per-step warm context: the session's resident state, its current
-/// deletion mask and the tuples whose state changed since the warm network
-/// last applied deltas (drained on success).
-pub struct WarmSession<'a> {
-    /// The session-resident warm state.
-    pub state: &'a mut FlowWarmState,
-    /// Current deletion mask, indexed by tuple.
-    pub deleted: &'a [bool],
-    /// Tuples whose deletion state changed since the last warm application.
-    pub touched: &'a mut Vec<TupleId>,
-}
-
-/// Warm-start counterpart of [`witness_path_flow_live`]: solves over the
-/// live instance implied by `deleted` using (and maintaining) the resident
-/// network built from the *full* view. `scratch.cuttable` must hold the same
-/// mask the cold calls use; it is read only on rebuilds.
-pub fn witness_path_flow_warm<S: TupleStore + ?Sized>(
-    db: &S,
-    full: WitnessView<'_>,
-    atom_order: &[usize],
-    want_contingency: bool,
-    scratch: &mut FlowScratch,
-    warm: WarmSession<'_>,
-) -> Result<Option<FlowResult>, WarmFallback> {
-    let WarmSession {
-        state,
-        deleted,
-        touched,
-    } = warm;
-    state.begin_step();
-    if !state.valid || state.kind != WarmKind::WitnessPath {
-        touched.clear();
-        state.build_witness_path(
-            db,
-            full,
-            atom_order,
-            &scratch.cuttable,
-            &mut scratch.edges,
-            deleted,
-        );
-    } else {
-        state.apply_deltas(deleted, touched)?;
-        touched.clear();
-    }
-    Ok(state.finish_solve(want_contingency))
-}
-
-/// Warm-start counterpart of [`permutation_flow_live`]. Mirrors the cold
-/// construction's early `None` answers (not an unbound 2-permutation) and
-/// falls back cold when a deleted tuple sits outside the modelled atoms.
-pub fn permutation_flow_warm<S: TupleStore + ?Sized>(
-    q: &Query,
-    db: &S,
-    full: WitnessView<'_>,
-    want_contingency: bool,
-    scratch: &mut FlowScratch,
-    warm: WarmSession<'_>,
-) -> Result<Option<FlowResult>, WarmFallback> {
-    let WarmSession {
-        state,
-        deleted,
-        touched,
-    } = warm;
-    state.begin_step();
-    let Some((_, r_atoms)) = single_self_join_relation(q) else {
-        return Ok(None);
-    };
-    if r_atoms.len() != 2 {
-        return Ok(None);
-    }
-    if !state.valid || state.kind != WarmKind::Permutation {
-        let r_is_endogenous = r_atoms.iter().any(|&i| !q.atom(i).exogenous);
-        let left_atoms: Vec<usize> = (0..q.num_atoms())
-            .filter(|i| !r_atoms.contains(i) && !q.atom(*i).exogenous)
-            .collect();
-        touched.clear();
-        let FlowScratch {
-            edges,
-            cuttable: endo,
-            pair_node,
-            ..
-        } = scratch;
-        state.build_permutation(
-            db,
-            full,
-            &left_atoms,
-            &r_atoms,
-            r_is_endogenous,
-            endo,
-            pair_node,
-            edges,
-            deleted,
-        )?;
-    } else {
-        state.apply_deltas(deleted, touched)?;
-        touched.clear();
-    }
-    Ok(state.finish_solve(want_contingency))
-}
-
-/// Warm-start counterpart of [`rep_flow_live`]: freezes the off-diagonal
-/// tuples of the self-join relation into `scratch.cuttable` (Proposition 36)
-/// and delegates to the witness-path warm solve.
-pub fn rep_flow_warm<S: TupleStore + ?Sized>(
-    q: &Query,
-    db: &S,
-    full: WitnessView<'_>,
-    atom_order: &[usize],
-    want_contingency: bool,
-    scratch: &mut FlowScratch,
-    warm: WarmSession<'_>,
-) -> Result<Option<FlowResult>, WarmFallback> {
-    let Some((rel, _)) = single_self_join_relation(q) else {
-        return Ok(None);
-    };
-    let Some(db_rel) = db.schema().relation_id(q.schema().name(rel)) else {
-        return Ok(None);
-    };
-    for &t in db.tuples_of(db_rel) {
-        let vals = db.values_of(t);
-        if vals.len() == 2 && vals[0] != vals[1] {
-            freeze_tuple(t, scratch);
-        }
-    }
-    witness_path_flow_warm(db, full, atom_order, want_contingency, scratch, warm)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::exact::ExactSolver;
+    use cq::linear::{linear_order_all, pseudo_linear_order};
     use cq::parse_query;
-    use database::Database;
+    use database::{Database, WitnessSet};
 
     fn build_db(q: &Query, rows: &[(&str, &[u64])]) -> Database {
         let mut db = Database::for_query(q);
@@ -1132,6 +759,31 @@ mod tests {
             db.insert_named(rel, vals);
         }
         db
+    }
+
+    /// Solves `construction` cold over every witness of `q` on `db`, with
+    /// the tuples in `frozen` made uncuttable on top of the endogenous mask.
+    fn solve(
+        construction: FlowConstruction<'_>,
+        q: &Query,
+        db: &Database,
+        frozen: &[TupleId],
+    ) -> Option<FlowResult> {
+        let ws = WitnessSet::build(q, db);
+        let mut scratch = FlowScratch::new();
+        seed_cuttable_mask(q, db, &mut scratch);
+        for t in frozen {
+            scratch.cuttable[t.index()] = false;
+        }
+        construction
+            .solve(db, ws.view(), true, &mut scratch, &mut || false, None)
+            .expect("the never-stop callback cannot interrupt the run")
+    }
+
+    /// The witness-path flow over the query's own linear order.
+    fn linear_flow(q: &Query, db: &Database) -> Option<FlowResult> {
+        let order = linear_order_all(q)?;
+        solve(FlowConstruction::WitnessPath { order: &order }, q, db, &[])
     }
 
     #[test]
@@ -1150,7 +802,7 @@ mod tests {
                 ("B", &[11]),
             ],
         );
-        let flow = linear_query_flow(&q, &db).unwrap();
+        let flow = linear_flow(&q, &db).unwrap();
         let exact = ExactSolver::new().resilience_value(&q, &db).unwrap();
         assert_eq!(flow.resilience, exact);
         // Contingency really works.
@@ -1172,7 +824,7 @@ mod tests {
                 ("B", &[10]),
             ],
         );
-        let flow = linear_query_flow(&q, &db).unwrap();
+        let flow = linear_flow(&q, &db).unwrap();
         assert_eq!(flow.resilience, 1); // delete B(10)
         let b = db.schema().relation_id("B").unwrap();
         assert!(flow.contingency.iter().all(|&t| db.relation_of(t) == b));
@@ -1196,7 +848,7 @@ mod tests {
                 ("R", &[5, 3]),
             ],
         );
-        let flow = linear_query_flow(&q, &db).unwrap();
+        let flow = linear_flow(&q, &db).unwrap();
         let exact = ExactSolver::new().resilience_value(&q, &db).unwrap();
         assert_eq!(flow.resilience, exact);
     }
@@ -1205,16 +857,21 @@ mod tests {
     fn unfalsifiable_instance_returns_none() {
         let q = parse_query("R^x(x,y), S^x(y,z)").unwrap();
         let db = build_db(&q, &[("R", &[1, 2]), ("S", &[2, 3])]);
-        let ws = WitnessSet::build(&q, &db);
         let order: Vec<usize> = vec![0, 1];
-        assert!(witness_path_flow(&q, &db, &ws, &order, &HashSet::new()).is_none());
+        assert!(solve(
+            FlowConstruction::WitnessPath { order: &order },
+            &q,
+            &db,
+            &[]
+        )
+        .is_none());
     }
 
     #[test]
     fn empty_database_has_zero_resilience() {
         let q = parse_query("A(x), R(x,y), B(y)").unwrap();
         let db = Database::for_query(&q);
-        let flow = linear_query_flow(&q, &db).unwrap();
+        let flow = linear_flow(&q, &db).unwrap();
         assert_eq!(flow.resilience, 0);
         assert!(flow.contingency.is_empty());
     }
@@ -1238,7 +895,7 @@ mod tests {
             ],
         );
         let ws = WitnessSet::build(&q, &db);
-        let via_flow = pairwise_bipartite_resilience(&ws).unwrap();
+        let via_flow = pairwise_bipartite_resilience_view(ws.view()).unwrap();
         let exact = ExactSolver::new().resilience_value(&q, &db).unwrap();
         assert_eq!(via_flow, exact);
     }
@@ -1248,7 +905,7 @@ mod tests {
         let q = parse_query("A(x), R(x,y), B(y)").unwrap();
         let db = build_db(&q, &[("A", &[1]), ("R", &[1, 2]), ("B", &[2])]);
         let ws = WitnessSet::build(&q, &db);
-        assert!(pairwise_bipartite_resilience(&ws).is_none());
+        assert!(pairwise_bipartite_resilience_view(ws.view()).is_none());
     }
 
     #[test]
@@ -1270,7 +927,7 @@ mod tests {
                 ("R", &[8, 9]), // no inverse: not a witness
             ],
         );
-        let flow = permutation_flow_resilience(&q, &db).unwrap();
+        let flow = solve(FlowConstruction::Permutation { query: &q }, &q, &db, &[]).unwrap();
         let exact = ExactSolver::new().resilience_value(&q, &db).unwrap();
         assert_eq!(flow.resilience, exact);
         assert_eq!(flow.resilience, 4);
@@ -1296,7 +953,7 @@ mod tests {
                 ("R", &[4, 4]),
             ],
         );
-        let flow = permutation_flow_resilience(&q, &db).unwrap();
+        let flow = solve(FlowConstruction::Permutation { query: &q }, &q, &db, &[]).unwrap();
         let exact = ExactSolver::new().resilience_value(&q, &db).unwrap();
         assert_eq!(flow.resilience, exact);
     }
@@ -1318,7 +975,14 @@ mod tests {
                 ("A", &[3]),
             ],
         );
-        let flow = rep_flow_resilience(&q, &db).unwrap();
+        let order = linear_order_all(&q)
+            .or_else(|| pseudo_linear_order(&q))
+            .unwrap_or_else(|| (0..q.num_atoms()).collect());
+        let rep = FlowConstruction::Rep {
+            query: &q,
+            order: &order,
+        };
+        let flow = solve(rep, &q, &db, &[]).unwrap();
         let exact = ExactSolver::new().resilience_value(&q, &db).unwrap();
         assert_eq!(flow.resilience, exact);
         // Off-diagonal tuples never appear in the contingency set.
@@ -1334,7 +998,6 @@ mod tests {
     fn witness_path_flow_respects_uncuttable_set() {
         let q = parse_query("A(x), R(x,y), B(y)").unwrap();
         let db = build_db(&q, &[("A", &[1]), ("R", &[1, 2]), ("B", &[2])]);
-        let ws = WitnessSet::build(&q, &db);
         let order = vec![0, 1, 2];
         // Making both A(1) and B(2) uncuttable leaves only R(1,2).
         let a = db
@@ -1343,8 +1006,13 @@ mod tests {
         let b = db
             .lookup(db.schema().relation_id("B").unwrap(), &[2u64])
             .unwrap();
-        let uncuttable: HashSet<TupleId> = [a, b].into_iter().collect();
-        let flow = witness_path_flow(&q, &db, &ws, &order, &uncuttable).unwrap();
+        let flow = solve(
+            FlowConstruction::WitnessPath { order: &order },
+            &q,
+            &db,
+            &[a, b],
+        )
+        .unwrap();
         assert_eq!(flow.resilience, 1);
         let r = db.schema().relation_id("R").unwrap();
         assert_eq!(db.relation_of(flow.contingency[0]), r);

@@ -58,6 +58,6 @@ pub use engine::{
     SolveOptions, SolveReport, SolveScratch, SolveSession,
 };
 pub use exact::{BudgetExhausted, CancelledSearch, ExactInterrupt, ExactResult, ExactSolver};
-pub use flow_algorithms::{FlowCancelled, FlowResult};
+pub use flow_algorithms::FlowResult;
 pub use plancache::{CachedCompile, PlanCache, PlanCacheStats};
 pub use shard::{solve_sharded, solve_sharded_streaming, ShardInstance, ShardedOutcome};

@@ -9,61 +9,65 @@
 //! suite and benchmark E8 cross-validate them against the exact solver on
 //! randomized instances.
 
-use crate::flow_algorithms::FlowResult;
+use crate::flow_algorithms::{seed_cuttable_mask, FlowConstruction, FlowResult, FlowScratch};
 use cq::Query;
 use database::{Constant, TupleId, TupleStore, WitnessSet};
-use flow::{FlowNetwork, MinCut, INF};
+use flow::{FlowInterrupted, FlowNetwork, MinCut, INF};
 use std::collections::{HashMap, HashSet};
 
-/// Resilience of `q_A3perm-R :- A(x), R(x,y), R(y,z), R(z,y)` (Proposition 13).
+/// Solves the dedicated construction of catalogue query `name`
+/// (`q_A3perm-R`, `q_Swx3perm-R` or `q_TS3conf`), polling `stop` inside the
+/// max-flow run; `Err` carries the flow routed before it fired, a lower
+/// bound on the resilience. `Ok(None)` when `name` is none of the three or
+/// the instance lacks a relation the construction names.
+pub(crate) fn solve<S: TupleStore + ?Sized>(
+    name: &str,
+    q: &Query,
+    db: &S,
+    want_contingency: bool,
+    stop: &mut dyn FnMut() -> bool,
+) -> Result<Option<FlowResult>, FlowInterrupted> {
+    let relation = |name| resolve_name(q, name).and_then(|name| db.schema().relation_id(name));
+    let left = match name {
+        "q_TS3conf" => return ts3conf(q, db, want_contingency, stop),
+        "q_A3perm-R" => relation("A").map(PermLeft::Unary),
+        "q_Swx3perm-R" => relation("S").map(PermLeft::BinarySecond),
+        _ => None,
+    };
+    match (left, relation("R")) {
+        (Some(left), Some(r_rel)) => perm_r_flow(db, left, r_rel, want_contingency, stop).map(Some),
+        _ => Ok(None),
+    }
+}
+
+/// Resilience of `q_A3perm-R :- A(x), R(x,y), R(y,z), R(z,y)` (Proposition 13),
+/// with optional contingency extraction.
 ///
 /// 2-way tuples (`R(a,b)` whose inverse `R(b,a)` is also present, loops
 /// included) become unit-capacity pair edges on the right; `A`-tuples become
 /// unit-capacity edges on the left; 1-way `R`-tuples act as infinite-weight
 /// connectors (an `A`-tuple is always at least as good a choice).
-pub fn a3perm_r_resilience<S: TupleStore + ?Sized>(q: &Query, db: &S) -> Option<FlowResult> {
-    a3perm_r_resilience_opts(q, db, true)
-}
-
-/// [`a3perm_r_resilience`] with optional contingency extraction.
 pub fn a3perm_r_resilience_opts<S: TupleStore + ?Sized>(
     q: &Query,
     db: &S,
     want_contingency: bool,
 ) -> Option<FlowResult> {
-    let a_rel = db.schema().relation_id(resolve_name(q, "A")?)?;
-    let r_rel = db.schema().relation_id(resolve_name(q, "R")?)?;
-    Some(perm_r_flow(
-        db,
-        PermLeft::Unary(a_rel),
-        r_rel,
-        want_contingency,
-    ))
+    solve("q_A3perm-R", q, db, want_contingency, &mut || false)
+        .expect("the never-stop callback cannot interrupt the run")
 }
 
 /// Resilience of `q_Swx3perm-R :- S(w,x), R(x,y), R(y,z), R(z,y)`
-/// (Proposition 44). Identical to [`a3perm_r_resilience`] except that the
-/// left-hand tuples are the binary `S(e, a)` tuples (joining on their second
-/// attribute) and 1-way `R`-tuples now cost 1 (they are not dominated by
-/// `S`).
-pub fn swx3perm_r_resilience<S: TupleStore + ?Sized>(q: &Query, db: &S) -> Option<FlowResult> {
-    swx3perm_r_resilience_opts(q, db, true)
-}
-
-/// [`swx3perm_r_resilience`] with optional contingency extraction.
+/// (Proposition 44), with optional contingency extraction. Identical to
+/// [`a3perm_r_resilience_opts`] except that the left-hand tuples are the
+/// binary `S(e, a)` tuples (joining on their second attribute) and 1-way
+/// `R`-tuples now cost 1 (they are not dominated by `S`).
 pub fn swx3perm_r_resilience_opts<S: TupleStore + ?Sized>(
     q: &Query,
     db: &S,
     want_contingency: bool,
 ) -> Option<FlowResult> {
-    let s_rel = db.schema().relation_id(resolve_name(q, "S")?)?;
-    let r_rel = db.schema().relation_id(resolve_name(q, "R")?)?;
-    Some(perm_r_flow(
-        db,
-        PermLeft::BinarySecond(s_rel),
-        r_rel,
-        want_contingency,
-    ))
+    solve("q_Swx3perm-R", q, db, want_contingency, &mut || false)
+        .expect("the never-stop callback cannot interrupt the run")
 }
 
 /// Which relation anchors the left end of the permutation-plus-R query and
@@ -88,7 +92,8 @@ fn perm_r_flow<S: TupleStore + ?Sized>(
     left: PermLeft,
     r_rel: cq::RelId,
     want_contingency: bool,
-) -> FlowResult {
+    stop: &mut dyn FnMut() -> bool,
+) -> Result<FlowResult, FlowInterrupted> {
     // Classify R-tuples into 2-way pairs and 1-way tuples.
     let mut two_way_pairs: HashSet<(Constant, Constant)> = HashSet::new();
     let mut one_way: Vec<TupleId> = Vec::new();
@@ -162,12 +167,12 @@ fn perm_r_flow<S: TupleStore + ?Sized>(
     }
 
     if !want_contingency {
-        return FlowResult {
-            resilience: MinCut::compute_value(&mut network, s, t_sink) as usize,
+        return Ok(FlowResult {
+            resilience: network.augment(s, t_sink, stop)?.0 as usize,
             contingency: Vec::new(),
-        };
+        });
     }
-    let cut = MinCut::compute(&mut network, s, t_sink);
+    let cut = MinCut::compute(&mut network, s, t_sink, stop)?;
 
     // Translate the cut back to tuples: a cut left edge deletes that left
     // tuple; a cut pair edge deletes one tuple of the pair; a cut 1-way edge
@@ -192,27 +197,22 @@ fn perm_r_flow<S: TupleStore + ?Sized>(
     }
     contingency.sort_unstable();
     contingency.dedup();
-    FlowResult {
+    Ok(FlowResult {
         resilience: cut.value as usize,
         contingency,
-    }
+    })
 }
 
 /// Resilience of `q_TS3conf :- T^x(x,y), R(x,y), R(z,y), R(z,w), S^x(z,w)`
-/// (Proposition 41).
+/// (Proposition 41), with optional contingency extraction.
 ///
 /// Any `R(a,b)` with both `T(a,b)` and `S(a,b)` present forms a witness on
 /// its own (taking `z = x = a`, `w = y = b`) and is forced into every
 /// contingency set. After removing the forced tuples, the query behaves like
 /// a linear query and the witness-path flow is exact (Lemma 55-style
-/// argument in the paper).
-pub fn ts3conf_resilience<S: TupleStore + ?Sized>(q: &Query, db: &S) -> Option<FlowResult> {
-    ts3conf_resilience_opts(q, db, true)
-}
-
-/// [`ts3conf_resilience`] with optional contingency extraction. The forced
-/// tuples still have to be identified either way (they contribute to the
-/// value); only the flow-cut translation is skipped.
+/// argument in the paper). The forced tuples still have to be identified
+/// when only the value is wanted (they contribute to it); only the flow-cut
+/// translation is skipped.
 ///
 /// The post-reduction instance is expressed as a *deletion-aware view*: the
 /// witnesses of `D \ forced` are exactly the witnesses of `D` using no
@@ -225,9 +225,23 @@ pub fn ts3conf_resilience_opts<S: TupleStore + ?Sized>(
     db: &S,
     want_contingency: bool,
 ) -> Option<FlowResult> {
-    let t_rel = db.schema().relation_id("T")?;
-    let s_rel = db.schema().relation_id("S")?;
-    let r_rel = db.schema().relation_id("R")?;
+    solve("q_TS3conf", q, db, want_contingency, &mut || false)
+        .expect("the never-stop callback cannot interrupt the run")
+}
+
+fn ts3conf<S: TupleStore + ?Sized>(
+    q: &Query,
+    db: &S,
+    want_contingency: bool,
+    stop: &mut dyn FnMut() -> bool,
+) -> Result<Option<FlowResult>, FlowInterrupted> {
+    let (Some(t_rel), Some(s_rel), Some(r_rel)) = (
+        db.schema().relation_id("T"),
+        db.schema().relation_id("S"),
+        db.schema().relation_id("R"),
+    ) else {
+        return Ok(None);
+    };
 
     let mut forced: Vec<TupleId> = Vec::new();
     for &rt in db.tuples_of(r_rel) {
@@ -238,33 +252,40 @@ pub fn ts3conf_resilience_opts<S: TupleStore + ?Sized>(
     }
     let forced_set: HashSet<TupleId> = forced.iter().copied().collect();
 
-    let order = cq::linear::linear_order_all(q)?;
+    let Some(order) = cq::linear::linear_order_all(q) else {
+        return Ok(None);
+    };
     let ws = WitnessSet::build(q, db).without_tuples(&forced_set);
     // The forced tuples are deleted from the view, so the witness-path flow
     // never creates nodes for them: cutting is decided among the survivors
     // only, exactly as on a physically reduced instance.
-    let flow = crate::flow_algorithms::witness_path_flow_opts(
-        q,
+    let mut scratch = FlowScratch::new();
+    seed_cuttable_mask(q, db, &mut scratch);
+    let Some(flow) = FlowConstruction::WitnessPath { order: &order }.solve(
         db,
-        &ws,
-        &order,
-        &HashSet::new(),
+        ws.view(),
         want_contingency,
-    )?;
+        &mut scratch,
+        stop,
+        None,
+    )?
+    else {
+        return Ok(None);
+    };
     if !want_contingency {
-        return Some(FlowResult {
+        return Ok(Some(FlowResult {
             resilience: forced.len() + flow.resilience,
             contingency: Vec::new(),
-        });
+        }));
     }
     let mut contingency = forced;
     contingency.extend(flow.contingency);
     contingency.sort_unstable();
     contingency.dedup();
-    Some(FlowResult {
+    Ok(Some(FlowResult {
         resilience: contingency.len(),
         contingency,
-    })
+    }))
 }
 
 #[cfg(test)]
@@ -299,7 +320,7 @@ mod tests {
                 ("R", &[2, 2]),
             ],
         );
-        let flow = a3perm_r_resilience(&q, &db).unwrap();
+        let flow = a3perm_r_resilience_opts(&q, &db, true).unwrap();
         let exact = ExactSolver::new().resilience_value(&q, &db).unwrap();
         assert_eq!(flow.resilience, exact);
     }
@@ -308,7 +329,7 @@ mod tests {
     fn a3perm_r_loop_only_instance() {
         let q = catalogue::q_a3perm_r().query;
         let db = build_db(&q, &[("A", &[1]), ("R", &[1, 1])]);
-        let flow = a3perm_r_resilience(&q, &db).unwrap();
+        let flow = a3perm_r_resilience_opts(&q, &db, true).unwrap();
         let exact = ExactSolver::new().resilience_value(&q, &db).unwrap();
         assert_eq!(flow.resilience, exact);
         assert_eq!(flow.resilience, 1);
@@ -318,7 +339,7 @@ mod tests {
     fn a3perm_r_no_witness_is_zero() {
         let q = catalogue::q_a3perm_r().query;
         let db = build_db(&q, &[("A", &[1]), ("R", &[1, 2]), ("R", &[2, 3])]);
-        let flow = a3perm_r_resilience(&q, &db).unwrap();
+        let flow = a3perm_r_resilience_opts(&q, &db, true).unwrap();
         assert_eq!(flow.resilience, 0);
         assert!(!database::evaluate(&q, &db));
     }
@@ -338,7 +359,7 @@ mod tests {
                 ("R", &[2, 2]),
             ],
         );
-        let flow = swx3perm_r_resilience(&q, &db).unwrap();
+        let flow = swx3perm_r_resilience_opts(&q, &db, true).unwrap();
         let exact = ExactSolver::new().resilience_value(&q, &db).unwrap();
         assert_eq!(flow.resilience, exact);
     }
@@ -359,7 +380,7 @@ mod tests {
                 ("S", &[5, 6]),
             ],
         );
-        let flow = ts3conf_resilience(&q, &db).unwrap();
+        let flow = ts3conf_resilience_opts(&q, &db, true).unwrap();
         let exact = ExactSolver::new().resilience_value(&q, &db).unwrap();
         assert_eq!(flow.resilience, exact);
     }
@@ -377,7 +398,7 @@ mod tests {
                 ("S", &[3, 4]),
             ],
         );
-        let flow = ts3conf_resilience(&q, &db).unwrap();
+        let flow = ts3conf_resilience_opts(&q, &db, true).unwrap();
         let exact = ExactSolver::new().resilience_value(&q, &db).unwrap();
         assert_eq!(flow.resilience, exact);
     }
@@ -390,7 +411,7 @@ mod tests {
             &q,
             &[("A", &[5]), ("R", &[5, 1]), ("R", &[1, 2]), ("R", &[2, 1])],
         );
-        let flow = a3perm_r_resilience(&q, &db).unwrap();
+        let flow = a3perm_r_resilience_opts(&q, &db, true).unwrap();
         let exact = ExactSolver::new().resilience_value(&q, &db).unwrap();
         assert_eq!(flow.resilience, exact);
         assert_eq!(flow.resilience, 1);

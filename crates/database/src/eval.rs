@@ -23,11 +23,10 @@
 //! unchanged on a mutable [`Database`](crate::Database) or a compacted
 //! [`FrozenDb`](crate::FrozenDb).
 //!
-//! Large instances can enumerate in parallel:
-//! [`witnesses_with_plan_parallel_into`] partitions the first join step's
-//! candidate scan across scoped threads and merges the per-thread results in
-//! deterministic (chunk) order, producing output bit-identical to the
-//! sequential enumerator.
+//! Large instances can enumerate in parallel: [`collect_witnesses`]
+//! partitions the first join step's candidate scan across scoped threads and
+//! merges the per-thread results in deterministic (chunk) order, producing
+//! output bit-identical to the sequential enumeration.
 
 use crate::store::TupleStore;
 use crate::tuple::{Constant, TupleId};
@@ -228,7 +227,8 @@ pub fn witnesses<S: TupleStore + ?Sized>(q: &Query, db: &S) -> Vec<Witness> {
 }
 
 /// Enumerates all witnesses through a precompiled plan into `out` (which is
-/// cleared first, so its allocation can be reused across instances).
+/// cleared first, so its allocation can be reused across instances): the
+/// sequential, never-stopping form of [`collect_witnesses`].
 pub fn witnesses_with_plan_into<S: TupleStore + ?Sized>(
     plan: &QueryPlan,
     translation: &[RelId],
@@ -236,133 +236,43 @@ pub fn witnesses_with_plan_into<S: TupleStore + ?Sized>(
     out: &mut Vec<Witness>,
 ) {
     out.clear();
-    enumerate_with_plan(plan, translation, db, &mut |w| {
-        out.push(w);
-        true
-    });
+    collect_part(plan, translation, db, None, out, &|| false);
 }
 
-/// How often the cancellable enumerators consult their callback: every
-/// 1024 witnesses, so the check is amortized to nothing on the happy path
-/// while cancellation latency stays bounded (a witness is produced in
+/// How often the enumerator consults its stop callback: every 1024
+/// witnesses, so the check is amortized to nothing on the happy path while
+/// cancellation latency stays bounded (a witness is produced in
 /// microseconds).
-const CANCEL_CHECK_MASK: usize = 1023;
+const STOP_CHECK_MASK: usize = 1023;
 
-/// [`witnesses_with_plan_into`] with a cooperative cancellation callback,
-/// consulted every 1024 witnesses. Returns `true` when the enumeration ran
-/// to completion; `false` when the callback stopped it early (the contents
-/// of `out` are then partial and must not be used as a witness set).
-pub fn witnesses_with_plan_into_cancellable<S: TupleStore + ?Sized>(
-    plan: &QueryPlan,
-    translation: &[RelId],
-    db: &S,
-    out: &mut Vec<Witness>,
-    is_cancelled: &(dyn Fn() -> bool + Sync),
-) -> bool {
-    out.clear();
-    let mut stopped = false;
-    let mut count = 0usize;
-    enumerate_with_plan(plan, translation, db, &mut |w| {
-        out.push(w);
-        count += 1;
-        if count & CANCEL_CHECK_MASK == 0 && is_cancelled() {
-            stopped = true;
-            return false;
-        }
-        true
-    });
-    !stopped
-}
-
-/// Parallel [`witnesses_with_plan_into`]: the candidate list of the *first*
-/// join step (a whole-relation scan — the first atom of a plan never has a
-/// bound variable to probe) is partitioned into contiguous chunks, one
-/// scoped thread enumerates each chunk into its own `Vec<Witness>`, and the
-/// per-thread vectors are concatenated in chunk order.
+/// Enumerates all witnesses through a precompiled plan into `out` (cleared
+/// first, so its allocation can be reused across instances) on up to
+/// `threads` scoped threads, consulting `should_stop` every 1024 witnesses
+/// per thread.
 ///
-/// Because the sequential enumerator visits the first atom's candidates in
-/// exactly that slice order and the deeper levels are unaffected by the
-/// split, the merged output is **bit-identical** to the sequential one — the
-/// engine, the deletion sessions and the differential tests all rely on this
-/// determinism.
+/// With more than one thread, the candidate list of the *first* join step (a
+/// whole-relation scan — the first atom of a plan never has a bound variable
+/// to probe) is partitioned into contiguous chunks, one scoped thread
+/// enumerates each chunk into its own `Vec<Witness>`, and the per-thread
+/// vectors are concatenated in chunk order. Because the sequential
+/// enumeration visits the first atom's candidates in exactly that slice
+/// order and the deeper levels are unaffected by the split, the merged
+/// output is **bit-identical** to the sequential one — the engine, the
+/// deletion sessions and the differential tests all rely on this
+/// determinism. `threads` is an upper bound, clamped to the candidate count;
+/// a plan whose first atom probes (which only a hand-built plan could
+/// produce) runs sequentially.
 ///
-/// `threads` is an upper bound; it is clamped to the candidate count and a
-/// value of 0 or 1 (or a plan whose first atom probes, which only a
-/// hand-built plan could produce) falls back to the sequential path.
-pub fn witnesses_with_plan_parallel_into<S: TupleStore + Sync + ?Sized>(
+/// Returns `true` when the enumeration ran to completion; `false` when
+/// `should_stop` ended it early (`out` then holds a partial list that must
+/// not be used as a witness set).
+pub fn collect_witnesses<S: TupleStore + Sync + ?Sized>(
     plan: &QueryPlan,
     translation: &[RelId],
     db: &S,
     threads: usize,
     out: &mut Vec<Witness>,
-) {
-    out.clear();
-    if plan.num_atoms == 0 {
-        return;
-    }
-    let first = &plan.order[0];
-    let candidates: &[TupleId] = match first.probe {
-        None => db.tuples_of(translation[first.rel.index()]),
-        Some(_) => {
-            witnesses_with_plan_into(plan, translation, db, out);
-            return;
-        }
-    };
-    let threads = threads.min(candidates.len()).max(1);
-    if threads <= 1 {
-        witnesses_with_plan_into(plan, translation, db, out);
-        return;
-    }
-    let chunk = candidates.len().div_ceil(threads);
-    let parts: Vec<Vec<Witness>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = candidates
-            .chunks(chunk)
-            .map(|chunk_candidates| {
-                scope.spawn(move || {
-                    let mut local: Vec<Witness> = Vec::new();
-                    let mut valuation: Vec<Option<Constant>> = vec![None; plan.num_vars];
-                    let mut chosen: Vec<TupleId> = vec![TupleId(0); plan.num_atoms];
-                    let mut running = true;
-                    search_candidates(
-                        plan,
-                        translation,
-                        db,
-                        0,
-                        chunk_candidates,
-                        &mut valuation,
-                        &mut chosen,
-                        &mut |w| {
-                            local.push(w);
-                            true
-                        },
-                        &mut running,
-                    );
-                    local
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("witness enumeration thread panicked"))
-            .collect()
-    });
-    for mut part in parts {
-        out.append(&mut part);
-    }
-}
-
-/// [`witnesses_with_plan_parallel_into`] with a cooperative cancellation
-/// callback (shared across the enumeration threads), consulted every 1024
-/// witnesses per thread. Returns `true` when the enumeration ran to
-/// completion on every thread; `false` when any thread was stopped early
-/// (the contents of `out` are then partial and must not be used).
-pub fn witnesses_with_plan_parallel_into_cancellable<S: TupleStore + Sync + ?Sized>(
-    plan: &QueryPlan,
-    translation: &[RelId],
-    db: &S,
-    threads: usize,
-    out: &mut Vec<Witness>,
-    is_cancelled: &(dyn Fn() -> bool + Sync),
+    should_stop: &(dyn Fn() -> bool + Sync),
 ) -> bool {
     out.clear();
     if plan.num_atoms == 0 {
@@ -371,46 +281,22 @@ pub fn witnesses_with_plan_parallel_into_cancellable<S: TupleStore + Sync + ?Siz
     let first = &plan.order[0];
     let candidates: &[TupleId] = match first.probe {
         None => db.tuples_of(translation[first.rel.index()]),
-        Some(_) => {
-            return witnesses_with_plan_into_cancellable(plan, translation, db, out, is_cancelled);
-        }
+        Some(_) => &[],
     };
     let threads = threads.min(candidates.len()).max(1);
     if threads <= 1 {
-        return witnesses_with_plan_into_cancellable(plan, translation, db, out, is_cancelled);
+        return collect_part(plan, translation, db, None, out, should_stop);
     }
     let chunk = candidates.len().div_ceil(threads);
     let parts: Vec<(Vec<Witness>, bool)> = std::thread::scope(|scope| {
         let handles: Vec<_> = candidates
             .chunks(chunk)
-            .map(|chunk_candidates| {
+            .map(|part| {
                 scope.spawn(move || {
-                    let mut local: Vec<Witness> = Vec::new();
-                    let mut valuation: Vec<Option<Constant>> = vec![None; plan.num_vars];
-                    let mut chosen: Vec<TupleId> = vec![TupleId(0); plan.num_atoms];
-                    let mut running = true;
-                    let mut stopped = false;
-                    let mut count = 0usize;
-                    search_candidates(
-                        plan,
-                        translation,
-                        db,
-                        0,
-                        chunk_candidates,
-                        &mut valuation,
-                        &mut chosen,
-                        &mut |w| {
-                            local.push(w);
-                            count += 1;
-                            if count & CANCEL_CHECK_MASK == 0 && is_cancelled() {
-                                stopped = true;
-                                return false;
-                            }
-                            true
-                        },
-                        &mut running,
-                    );
-                    (local, !stopped)
+                    let mut local = Vec::new();
+                    let completed =
+                        collect_part(plan, translation, db, Some(part), &mut local, should_stop);
+                    (local, completed)
                 })
             })
             .collect();
@@ -425,6 +311,47 @@ pub fn witnesses_with_plan_parallel_into_cancellable<S: TupleStore + Sync + ?Siz
         completed &= part_completed;
     }
     completed
+}
+
+/// One thread of [`collect_witnesses`]: appends to `out` the witnesses whose
+/// first-step tuple lies in `first` (every witness when `None`), and returns
+/// whether it ran to completion.
+fn collect_part<S: TupleStore + ?Sized>(
+    plan: &QueryPlan,
+    translation: &[RelId],
+    db: &S,
+    first: Option<&[TupleId]>,
+    out: &mut Vec<Witness>,
+    should_stop: &(dyn Fn() -> bool + Sync),
+) -> bool {
+    let mut stopped = false;
+    let mut sink = |w: Witness| {
+        out.push(w);
+        if out.len() & STOP_CHECK_MASK == 0 && should_stop() {
+            stopped = true;
+            return false;
+        }
+        true
+    };
+    match first {
+        None => enumerate_with_plan(plan, translation, db, &mut sink),
+        Some(candidates) => {
+            let mut valuation: Vec<Option<Constant>> = vec![None; plan.num_vars];
+            let mut chosen: Vec<TupleId> = vec![TupleId(0); plan.num_atoms];
+            search_candidates(
+                plan,
+                translation,
+                db,
+                0,
+                candidates,
+                &mut valuation,
+                &mut chosen,
+                &mut sink,
+                &mut true,
+            );
+        }
+    }
+    !stopped
 }
 
 /// Core backtracking join with a per-call plan. Calls `sink` for each
@@ -512,7 +439,7 @@ fn search<S: TupleStore + ?Sized>(
 }
 
 /// The candidate loop of [`search`] at one depth, with an explicit candidate
-/// slice. The parallel enumerator calls this directly at depth 0 with one
+/// slice. [`collect_witnesses`] calls this directly at depth 0 with one
 /// chunk of the first atom's scan per thread.
 #[allow(clippy::too_many_arguments)]
 fn search_candidates<S: TupleStore + ?Sized>(
@@ -874,10 +801,17 @@ mod tests {
         let frozen = db.freeze();
         for threads in [1usize, 2, 3, 8, 1000] {
             let mut parallel = Vec::new();
-            witnesses_with_plan_parallel_into(&plan, &translation, &db, threads, &mut parallel);
+            collect_witnesses(&plan, &translation, &db, threads, &mut parallel, &|| false);
             assert_eq!(sequential, parallel, "threads={threads}");
             // Same guarantee over the frozen store.
-            witnesses_with_plan_parallel_into(&plan, &translation, &frozen, threads, &mut parallel);
+            collect_witnesses(
+                &plan,
+                &translation,
+                &frozen,
+                threads,
+                &mut parallel,
+                &|| false,
+            );
             assert_eq!(sequential, parallel, "frozen, threads={threads}");
         }
     }
@@ -892,12 +826,12 @@ mod tests {
             valuation: Vec::new(),
             atom_tuples: Vec::new(),
         }];
-        witnesses_with_plan_parallel_into(&plan, &translation, &db, 4, &mut out);
+        collect_witnesses(&plan, &translation, &db, 4, &mut out, &|| false);
         assert!(out.is_empty());
         // One candidate: clamps to a single thread.
         let mut db = Database::for_query(&q);
         db.insert_named("R", &[1, 1]);
-        witnesses_with_plan_parallel_into(&plan, &translation, &db, 4, &mut out);
+        collect_witnesses(&plan, &translation, &db, 4, &mut out, &|| false);
         assert_eq!(out.len(), 1);
     }
 

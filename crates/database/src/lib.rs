@@ -35,10 +35,8 @@ pub mod tuple;
 pub mod witness;
 
 pub use eval::{
-    canonical_witnesses, evaluate, reference_witnesses, try_relation_translation, witnesses,
-    witnesses_with_plan_into, witnesses_with_plan_into_cancellable,
-    witnesses_with_plan_parallel_into, witnesses_with_plan_parallel_into_cancellable, QueryPlan,
-    Valuation, Witness,
+    canonical_witnesses, collect_witnesses, evaluate, reference_witnesses,
+    try_relation_translation, witnesses, witnesses_with_plan_into, QueryPlan, Valuation, Witness,
 };
 pub use frozen::FrozenDb;
 pub use fx::{FxHashMap, FxHashSet};

@@ -15,24 +15,19 @@ pub struct MinCut {
 }
 
 impl MinCut {
-    /// Computes a minimum s–t cut of `network` (running Dinic's algorithm).
-    pub fn compute(network: &mut FlowNetwork, s: NodeId, t: NodeId) -> MinCut {
-        match Self::compute_interruptible(network, s, t, &mut || false) {
-            Ok(cut) => cut,
-            Err(_) => unreachable!("the never-stop callback cannot interrupt the run"),
-        }
-    }
-
-    /// [`MinCut::compute`] with a cooperative stop callback (see
-    /// [`FlowNetwork::max_flow_dinic_interruptible`]). On interruption the
-    /// partial flow routed so far is reported instead of a cut.
-    pub fn compute_interruptible(
+    /// Computes a minimum s–t cut of `network`: a max flow from zero (see
+    /// [`FlowNetwork::augment`], which polls `should_stop`), then the
+    /// residual source side and the forward edges leaving it. On
+    /// interruption the partial flow routed so far is reported instead of a
+    /// cut.
+    pub fn compute(
         network: &mut FlowNetwork,
         s: NodeId,
         t: NodeId,
         should_stop: &mut dyn FnMut() -> bool,
     ) -> Result<MinCut, FlowInterrupted> {
-        let value = network.max_flow_dinic_interruptible(s, t, should_stop)?;
+        network.reset_flow();
+        let (value, _) = network.augment(s, t, should_stop)?;
         let source_side = network.residual_reachable(s);
         let mut cut_edges = Vec::new();
         for i in 0..network.num_edges() {
@@ -52,24 +47,6 @@ impl MinCut {
         })
     }
 
-    /// Computes only the *value* of a minimum s–t cut (the max flow),
-    /// skipping the residual-reachability sweep and cut-edge extraction.
-    /// Callers that do not need the cut certificate (e.g. resilience solves
-    /// with contingency reporting disabled) save the extraction pass.
-    pub fn compute_value(network: &mut FlowNetwork, s: NodeId, t: NodeId) -> u64 {
-        network.max_flow_dinic(s, t)
-    }
-
-    /// [`MinCut::compute_value`] with a cooperative stop callback.
-    pub fn compute_value_interruptible(
-        network: &mut FlowNetwork,
-        s: NodeId,
-        t: NodeId,
-        should_stop: &mut dyn FnMut() -> bool,
-    ) -> Result<u64, FlowInterrupted> {
-        network.max_flow_dinic_interruptible(s, t, should_stop)
-    }
-
     /// Sum of the original capacities of the reported cut edges.
     pub fn cut_capacity(&self, network: &FlowNetwork) -> u64 {
         self.cut_edges.iter().map(|&e| network.edge(e).2).sum()
@@ -80,6 +57,10 @@ impl MinCut {
 mod tests {
     use super::*;
     use crate::network::INF;
+
+    fn min_cut(g: &mut FlowNetwork, s: NodeId, t: NodeId) -> MinCut {
+        MinCut::compute(g, s, t, &mut || false).expect("a never-stop run completes")
+    }
 
     #[test]
     fn cut_edges_match_flow_value() {
@@ -96,7 +77,7 @@ mod tests {
         g.add_edge(a, t, 2);
         g.add_edge(b, t, 3);
         g.add_edge(a, b, 1);
-        let cut = MinCut::compute(&mut g, s, t);
+        let cut = min_cut(&mut g, s, t);
         assert_eq!(cut.value, 5);
         assert_eq!(cut.cut_capacity(&g), 5);
         assert!(cut.source_side[s.index()]);
@@ -111,7 +92,7 @@ mod tests {
         let t = g.add_node();
         g.add_edge(s, m, 1);
         g.add_edge(m, t, INF);
-        let cut = MinCut::compute(&mut g, s, t);
+        let cut = min_cut(&mut g, s, t);
         assert_eq!(cut.value, 1);
         assert_eq!(cut.cut_edges.len(), 1);
         let (from, to, _) = g.edge(cut.cut_edges[0]);
@@ -123,7 +104,7 @@ mod tests {
         let mut g = FlowNetwork::new();
         let s = g.add_node();
         let t = g.add_node();
-        let cut = MinCut::compute(&mut g, s, t);
+        let cut = min_cut(&mut g, s, t);
         assert_eq!(cut.value, 0);
         assert!(cut.cut_edges.is_empty());
     }
@@ -138,7 +119,7 @@ mod tests {
             g.add_edge(s, m, INF);
             g.add_edge(m, t, 1);
         }
-        let cut = MinCut::compute(&mut g, s, t);
+        let cut = min_cut(&mut g, s, t);
         assert_eq!(cut.value, 3);
         assert_eq!(cut.cut_edges.len(), 3);
     }
@@ -154,22 +135,23 @@ mod tests {
             g.add_edge(m, t, 1);
         }
         // Stopping before any work reports zero partial flow.
-        let err = MinCut::compute_interruptible(&mut g, s, t, &mut || true).unwrap_err();
+        let err = MinCut::compute(&mut g, s, t, &mut || true).unwrap_err();
         assert_eq!(err.partial_flow, 0);
         // A stop after some augmentations reports a valid partial value
         // (Dinic may route several paths within the first uninterrupted
         // phase, so the bound is `<= max`, not an exact count).
         let mut calls = 0usize;
-        let result = g.max_flow_dinic_interruptible(s, t, &mut || {
+        g.reset_flow();
+        let result = g.augment(s, t, &mut || {
             calls += 1;
             calls > 1
         });
         match result {
-            Ok(v) => assert_eq!(v, 3),
+            Ok((v, _)) => assert_eq!(v, 3),
             Err(partial) => assert!(partial.partial_flow <= 3),
         }
         // A never-stop run still finds the maximum.
-        assert_eq!(MinCut::compute(&mut g, s, t).value, 3);
+        assert_eq!(min_cut(&mut g, s, t).value, 3);
     }
 
     #[test]
@@ -179,7 +161,7 @@ mod tests {
         let t = g.add_node();
         g.add_edge(s, t, 0);
         g.add_edge(s, t, 2);
-        let cut = MinCut::compute(&mut g, s, t);
+        let cut = min_cut(&mut g, s, t);
         assert_eq!(cut.value, 2);
         assert_eq!(cut.cut_edges.len(), 1);
     }

@@ -16,8 +16,12 @@ pub const INF: u64 = u64::MAX / 4;
 
 const UNREACHED: u32 = u32::MAX;
 
+/// How many augmenting paths [`FlowNetwork::augment`] walks between two
+/// polls of its stop callback (besides one poll per BFS phase).
+const POLL_PATHS: u64 = 64;
+
 /// A max-flow run stopped early by its caller's stop callback (see
-/// [`FlowNetwork::max_flow_dinic_interruptible`]).
+/// [`FlowNetwork::augment`]).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct FlowInterrupted {
     /// Flow routed before the stop — a valid (not necessarily maximum) s–t
@@ -197,7 +201,7 @@ impl FlowNetwork {
     /// `t` gives back the matching deficit at the head. Afterwards the
     /// network again holds a *valid* (not necessarily maximum) s–t flow
     /// whose value decreased by exactly [`RepairOutcome::drained`]; a
-    /// follow-up [`FlowNetwork::max_flow_dinic_resume`] re-augments to the
+    /// follow-up [`FlowNetwork::augment`] re-augments to the
     /// new maximum from the repaired residual instead of from scratch.
     pub fn reduce_capacity_repair(
         &mut self,
@@ -257,7 +261,7 @@ impl FlowNetwork {
     /// flow currently routed through it (which must fit — raising is only
     /// ever relaxing). The inverse of [`FlowNetwork::reduce_capacity_repair`]
     /// for restore steps; the caller re-augments with
-    /// [`FlowNetwork::max_flow_dinic_resume`] to pick up any newly available
+    /// [`FlowNetwork::augment`] to pick up any newly available
     /// paths.
     pub fn raise_capacity(&mut self, id: EdgeId, new_cap: u64) {
         let fwd = self.public_edges[id.index()] as usize;
@@ -268,52 +272,6 @@ impl FlowNetwork {
         );
         self.edges[fwd].original_cap = new_cap;
         self.edges[fwd].cap = new_cap - flow;
-    }
-
-    /// Runs Dinic **from the current residual state** (no flow reset):
-    /// augments the resident flow to a maximum s–t flow and returns
-    /// `(added_flow, augmenting_paths)`. Together with
-    /// [`FlowNetwork::reduce_capacity_repair`] /
-    /// [`FlowNetwork::raise_capacity`] this is the decremental/incremental
-    /// re-solve path: repair, then resume, instead of recomputing from zero.
-    pub fn max_flow_dinic_resume(&mut self, s: NodeId, t: NodeId) -> (u64, u64) {
-        self.ensure_csr();
-        if s == t {
-            return (0, 0);
-        }
-        let n = self.num_nodes;
-        let mut scratch = std::mem::take(&mut self.scratch);
-        scratch.level.resize(n, UNREACHED);
-        scratch.iter.resize(n, 0);
-        let mut total = 0u64;
-        let mut paths = 0u64;
-        loop {
-            scratch.level.iter_mut().for_each(|l| *l = UNREACHED);
-            scratch.level[s.index()] = 0;
-            scratch.queue.clear();
-            scratch.queue.push(s.0);
-            let mut head = 0;
-            while head < scratch.queue.len() {
-                let u = scratch.queue[head];
-                head += 1;
-                for &ei in self.incident(u) {
-                    let e = &self.edges[ei as usize];
-                    if e.cap > 0 && scratch.level[e.to as usize] == UNREACHED {
-                        scratch.level[e.to as usize] = scratch.level[u as usize] + 1;
-                        scratch.queue.push(e.to);
-                    }
-                }
-            }
-            if scratch.level[t.index()] == UNREACHED {
-                break;
-            }
-            let (phase_flow, phase_paths, _) =
-                self.blocking_flow(s.0, t.0, &mut scratch, &mut || false);
-            total += phase_flow;
-            paths += phase_paths;
-        }
-        self.scratch = scratch;
-        (total, paths)
     }
 
     /// Pushes up to `limit` units from `from` to `to` along residual
@@ -424,36 +382,47 @@ impl FlowNetwork {
             [self.csr_offsets[u as usize] as usize..self.csr_offsets[u as usize + 1] as usize]
     }
 
-    /// Computes the maximum s–t flow with Dinic's algorithm (iterative
-    /// blocking-flow DFS with the current-arc optimization).
+    /// Computes the maximum s–t flow from zero with [`FlowNetwork::augment`]
+    /// and a stop callback that never fires.
     pub fn max_flow_dinic(&mut self, s: NodeId, t: NodeId) -> u64 {
-        match self.max_flow_dinic_interruptible(s, t, &mut || false) {
-            Ok(total) => total,
+        self.reset_flow();
+        match self.augment(s, t, &mut || false) {
+            Ok((total, _)) => total,
             Err(_) => unreachable!("the never-stop callback cannot interrupt the run"),
         }
     }
 
-    /// [`FlowNetwork::max_flow_dinic`] with a cooperative stop callback,
-    /// polled once per BFS phase and once per augmenting path. When the
-    /// callback returns `true` the run stops and reports the flow routed so
-    /// far — a valid (if not maximum) s–t flow, hence a lower bound on the
-    /// min cut. An uninterrupted run is identical to `max_flow_dinic`.
-    pub fn max_flow_dinic_interruptible(
+    /// Augments the flow currently held by the residual network to a
+    /// maximum s–t flow with Dinic's algorithm (iterative blocking-flow DFS
+    /// with the current-arc optimization) and returns `(added_flow,
+    /// augmenting_paths)`. The starting flow is whatever the network holds:
+    /// zero on a fresh network or after [`FlowNetwork::reset_flow`], or the
+    /// valid flow a [`FlowNetwork::reduce_capacity_repair`] /
+    /// [`FlowNetwork::raise_capacity`] left behind, so a repaired network
+    /// re-augments instead of recomputing from scratch.
+    ///
+    /// `should_stop` is polled once per BFS phase and once every 64
+    /// augmenting paths within a phase, so a callback that reads a clock
+    /// costs the run nothing measurable. When it returns `true` the run
+    /// stops and reports the flow it added so far: augmentations are atomic,
+    /// so the network then holds a valid (if not maximum) s–t flow — a lower
+    /// bound on the min cut — and a later call resumes from it.
+    pub fn augment(
         &mut self,
         s: NodeId,
         t: NodeId,
         should_stop: &mut dyn FnMut() -> bool,
-    ) -> Result<u64, FlowInterrupted> {
+    ) -> Result<(u64, u64), FlowInterrupted> {
         self.ensure_csr();
-        self.reset_flow();
         if s == t {
-            return Ok(0);
+            return Ok((0, 0));
         }
         let n = self.num_nodes;
         let mut scratch = std::mem::take(&mut self.scratch);
         scratch.level.resize(n, UNREACHED);
         scratch.iter.resize(n, 0);
         let mut total = 0u64;
+        let mut paths = 0u64;
         let mut stopped = false;
         loop {
             if should_stop() {
@@ -480,9 +449,10 @@ impl FlowNetwork {
             if scratch.level[t.index()] == UNREACHED {
                 break;
             }
-            let (phase_flow, _, phase_stopped) =
+            let (phase_flow, phase_paths, phase_stopped) =
                 self.blocking_flow(s.0, t.0, &mut scratch, should_stop);
             total += phase_flow;
+            paths += phase_paths;
             if phase_stopped {
                 stopped = true;
                 break;
@@ -494,7 +464,7 @@ impl FlowNetwork {
                 partial_flow: total,
             })
         } else {
-            Ok(total)
+            Ok((total, paths))
         }
     }
 
@@ -519,7 +489,7 @@ impl FlowNetwork {
         let mut u = s;
         loop {
             if u == t {
-                if should_stop() {
+                if paths % POLL_PATHS == POLL_PATHS - 1 && should_stop() {
                     return (total, paths, true);
                 }
                 // Augment along the path, then roll the path back to the
@@ -861,7 +831,7 @@ mod tests {
         // Shrink s -> a from 3 to 1: the repaired + resumed flow must equal
         // a from-scratch run on the reduced network.
         let out = g.reduce_capacity_repair(EdgeId(0), 1, s, t);
-        let (added, _) = g.max_flow_dinic_resume(s, t);
+        let (added, _) = g.augment(s, t, &mut || false).unwrap();
         let warm = 5 - out.drained + added;
         assert_eq!(g.max_flow_dinic(s, t), warm);
         assert_eq!(warm, 3);
@@ -879,7 +849,7 @@ mod tests {
         // The only route dies entirely: all 2 units drain back.
         let out = g.reduce_capacity_repair(e, 0, s, t);
         assert_eq!(out.drained, 2);
-        let (added, _) = g.max_flow_dinic_resume(s, t);
+        let (added, _) = g.augment(s, t, &mut || false).unwrap();
         assert_eq!(added, 0);
         assert_eq!(g.max_flow_dinic(s, t), 0);
     }
@@ -900,7 +870,7 @@ mod tests {
         let out = g.reduce_capacity_repair(e1, 0, s, t);
         // Whatever was on e1 fits on the parallel edge: nothing drained.
         assert_eq!(out.drained, 0);
-        let (added, _) = g.max_flow_dinic_resume(s, t);
+        let (added, _) = g.augment(s, t, &mut || false).unwrap();
         assert_eq!(added, 0);
         if flow_on_e1 > 0 {
             assert!(out.paths > 0);
@@ -914,12 +884,12 @@ mod tests {
         let mut value = 5;
         let out = g.reduce_capacity_repair(EdgeId(0), 0, s, t); // s -> a
         value -= out.drained;
-        let (added, _) = g.max_flow_dinic_resume(s, t);
+        let (added, _) = g.augment(s, t, &mut || false).unwrap();
         value += added;
         assert_eq!(value, 2); // only s -> b (2) remains
                               // Restore and re-augment back to the original maximum.
         g.raise_capacity(EdgeId(0), 3);
-        let (added, _) = g.max_flow_dinic_resume(s, t);
+        let (added, _) = g.augment(s, t, &mut || false).unwrap();
         value += added;
         assert_eq!(value, 5);
         assert_eq!(g.max_flow_dinic(s, t), 5);
@@ -955,7 +925,7 @@ mod tests {
         for kill in [4u32, 9, 1] {
             let out = warm.reduce_capacity_repair(EdgeId(kill), 0, s, t);
             value -= out.drained;
-            let (added, _) = warm.max_flow_dinic_resume(s, t);
+            let (added, _) = warm.augment(s, t, &mut || false).unwrap();
             value += added;
             let (mut cold, cs, ct) = build();
             for earlier in [4u32, 9, 1] {

@@ -8,7 +8,6 @@
 //! the vertex capacity on that internal edge; all original edges get infinite
 //! capacity.
 
-use crate::mincut::MinCut;
 use crate::network::{EdgeId, FlowInterrupted, FlowNetwork, NodeId, RepairOutcome, INF};
 
 /// A network whose *vertices* carry capacities.
@@ -89,97 +88,64 @@ impl VertexCutNetwork {
     }
 
     /// Overwrites vertex `v`'s *built* capacity. Only affects networks built
-    /// after this call (cold solves / the next [`VertexCutNetwork::warm_build`]);
+    /// after this call ([`VertexCutNetwork::min_vertex_cut`] / the next
+    /// [`VertexCutNetwork::warm_build`]);
     /// use [`VertexCutNetwork::warm_set_capacity`] to update a resident flow.
     pub fn set_capacity(&mut self, v: usize, cap: u64) {
         self.capacities[v] = cap;
     }
 
-    /// Computes a minimum vertex cut separating `source` from `target`.
+    /// Computes a minimum vertex cut separating `source` from `target` from
+    /// scratch, polling `should_stop` inside the max-flow run (see
+    /// [`FlowNetwork::augment`]); on interruption the partial flow is
+    /// reported instead of a cut. Any resident warm flow is dropped.
     ///
     /// The source and target vertices themselves are treated as uncuttable
     /// (their capacity is ignored), matching the paper's constructions where
     /// s and t are artificial endpoints.
-    pub fn min_vertex_cut(&mut self, source: usize, target: usize) -> VertexCut {
-        match self.min_vertex_cut_interruptible(source, target, &mut || false) {
-            Ok(cut) => cut,
-            Err(_) => unreachable!("the never-stop callback cannot interrupt the run"),
-        }
-    }
-
-    /// [`VertexCutNetwork::min_vertex_cut`] with a cooperative stop
-    /// callback (see [`FlowNetwork::max_flow_dinic_interruptible`]).
-    pub fn min_vertex_cut_interruptible(
+    pub fn min_vertex_cut(
         &mut self,
         source: usize,
         target: usize,
         should_stop: &mut dyn FnMut() -> bool,
     ) -> Result<VertexCut, FlowInterrupted> {
         let (s, t) = self.split_network(source, target);
-        let cut = MinCut::compute_interruptible(&mut self.split, s, t, should_stop)?;
-        let n = self.num_vertices();
-        let mut cut_vertices: Vec<usize> = cut
-            .cut_edges
-            .iter()
-            .filter_map(|e| (e.index() < n).then_some(e.index()))
-            .collect();
-        cut_vertices.sort_unstable();
+        let (value, _) = self.split.augment(s, t, should_stop)?;
+        let mut cut_vertices = Vec::new();
+        self.cut_vertices_into(s, source, target, &mut cut_vertices);
         Ok(VertexCut {
-            value: cut.value,
+            value,
             cut_vertices,
         })
     }
 
-    /// Computes only the value of a minimum vertex cut, skipping the
-    /// cut-vertex extraction (see [`MinCut::compute_value`]).
-    pub fn min_vertex_cut_value(&mut self, source: usize, target: usize) -> u64 {
-        let (s, t) = self.split_network(source, target);
-        MinCut::compute_value(&mut self.split, s, t)
-    }
-
-    /// [`VertexCutNetwork::min_vertex_cut_value`] with a cooperative stop
-    /// callback.
-    pub fn min_vertex_cut_value_interruptible(
-        &mut self,
-        source: usize,
-        target: usize,
-        should_stop: &mut dyn FnMut() -> bool,
-    ) -> Result<u64, FlowInterrupted> {
-        let (s, t) = self.split_network(source, target);
-        MinCut::compute_value_interruptible(&mut self.split, s, t, should_stop)
-    }
-
-    /// Builds the node-split network and runs a full max-flow once, keeping
+    /// Builds the node-split network and runs a max flow from zero, keeping
     /// the flow (and its residual graph) **resident** for subsequent
     /// decremental updates: [`VertexCutNetwork::warm_set_capacity`] repairs
     /// the resident flow in place when a vertex shrinks and
     /// [`VertexCutNetwork::warm_reaugment`] resumes Dinic from the repaired
     /// residual after restores — no from-scratch recomputation per step.
     /// Returns the maximum flow value (= the minimum vertex cut value).
-    pub fn warm_build(&mut self, source: usize, target: usize) -> u64 {
+    ///
+    /// `should_stop` is polled as in [`FlowNetwork::augment`]. An
+    /// interrupted build still leaves its partial flow resident (a valid
+    /// flow, reported as the error's partial value), so the next
+    /// [`VertexCutNetwork::warm_reaugment`] completes it.
+    pub fn warm_build(
+        &mut self,
+        source: usize,
+        target: usize,
+        should_stop: &mut dyn FnMut() -> bool,
+    ) -> Result<u64, FlowInterrupted> {
         let (s, t) = self.split_network(source, target);
-        let value = self.split.max_flow_dinic(s, t);
         self.warm = Some(WarmFlow {
             source,
             target,
             s,
             t,
-            value,
+            value: 0,
         });
-        value
-    }
-
-    /// Whether warm flow state is resident for this `source`/`target` pair.
-    pub fn has_warm(&self, source: usize, target: usize) -> bool {
-        self.warm
-            .is_some_and(|w| w.source == source && w.target == target)
-    }
-
-    /// The resident warm flow value (the minimum cut value as of the last
-    /// [`VertexCutNetwork::warm_build`] / [`VertexCutNetwork::warm_reaugment`],
-    /// minus any drain from not-yet-re-augmented repairs).
-    pub fn warm_value(&self) -> u64 {
-        self.warm.expect("no warm flow state resident").value
+        self.warm_reaugment(should_stop).map(|(value, _)| value)
     }
 
     /// Decrementally sets vertex `v`'s capacity on the **resident** split
@@ -205,12 +171,27 @@ impl VertexCutNetwork {
     }
 
     /// Resumes Dinic from the repaired residual, restoring the resident flow
-    /// to a maximum. Returns `(new_value, augmenting_paths)`.
-    pub fn warm_reaugment(&mut self) -> (u64, u64) {
+    /// to a maximum. Returns `(new_value, augmenting_paths)`. `should_stop`
+    /// is polled as in [`FlowNetwork::augment`]; an interrupted run keeps
+    /// the flow it added and reports the resident (valid, not maximum) flow
+    /// value as the partial value.
+    pub fn warm_reaugment(
+        &mut self,
+        should_stop: &mut dyn FnMut() -> bool,
+    ) -> Result<(u64, u64), FlowInterrupted> {
         let warm = self.warm.as_mut().expect("no warm flow state resident");
-        let (added, paths) = self.split.max_flow_dinic_resume(warm.s, warm.t);
-        warm.value += added;
-        (warm.value, paths)
+        match self.split.augment(warm.s, warm.t, should_stop) {
+            Ok((added, paths)) => {
+                warm.value += added;
+                Ok((warm.value, paths))
+            }
+            Err(e) => {
+                warm.value += e.partial_flow;
+                Err(FlowInterrupted {
+                    partial_flow: warm.value,
+                })
+            }
+        }
     }
 
     /// Extracts the cut vertices of the resident warm flow (which must be
@@ -220,10 +201,17 @@ impl VertexCutNetwork {
     /// are not part of the reported contingency.
     pub fn warm_cut_vertices(&self, out: &mut Vec<usize>) {
         let warm = self.warm.expect("no warm flow state resident");
-        let reach = self.split.residual_reachable(warm.s);
+        self.cut_vertices_into(warm.s, warm.source, warm.target, out);
+    }
+
+    /// The vertices (other than `source` and `target`) whose internal arc
+    /// has positive capacity and leaves the residual source side of split
+    /// node `s`, ascending.
+    fn cut_vertices_into(&self, s: NodeId, source: usize, target: usize, out: &mut Vec<usize>) {
+        let reach = self.split.residual_reachable(s);
         out.clear();
         for v in 0..self.num_vertices() {
-            if v == warm.source || v == warm.target {
+            if v == source || v == target {
                 continue;
             }
             if reach[2 * v] && !reach[2 * v + 1] && self.split.edge(EdgeId(v as u32)).2 > 0 {
@@ -265,6 +253,27 @@ impl VertexCutNetwork {
 mod tests {
     use super::*;
 
+    fn min_cut(g: &mut VertexCutNetwork, s: usize, t: usize) -> VertexCut {
+        g.min_vertex_cut(s, t, &mut || false)
+            .expect("a never-stop run completes")
+    }
+
+    fn warm_build(g: &mut VertexCutNetwork, s: usize, t: usize) -> u64 {
+        g.warm_build(s, t, &mut || false)
+            .expect("a never-stop run completes")
+    }
+
+    fn reaugment(g: &mut VertexCutNetwork) -> (u64, u64) {
+        g.warm_reaugment(&mut || false)
+            .expect("a never-stop run completes")
+    }
+
+    /// Whether warm flow state is resident for this `source`/`target` pair.
+    fn has_warm(g: &VertexCutNetwork, source: usize, target: usize) -> bool {
+        g.warm
+            .is_some_and(|w| w.source == source && w.target == target)
+    }
+
     #[test]
     fn single_path_cuts_cheapest_vertex() {
         // s - a(5) - b(1) - c(7) - t : the cut is {b}.
@@ -278,7 +287,7 @@ mod tests {
         g.add_edge(a, b);
         g.add_edge(b, c);
         g.add_edge(c, t);
-        let cut = g.min_vertex_cut(s, t);
+        let cut = min_cut(&mut g, s, t);
         assert_eq!(cut.value, 1);
         assert_eq!(cut.cut_vertices, vec![b]);
     }
@@ -295,7 +304,7 @@ mod tests {
             g.add_edge(m, t);
             mids.push(m);
         }
-        let cut = g.min_vertex_cut(s, t);
+        let cut = min_cut(&mut g, s, t);
         assert_eq!(cut.value, 4);
         assert_eq!(cut.cut_vertices, mids);
     }
@@ -320,7 +329,7 @@ mod tests {
         g.add_edge(m, d);
         g.add_edge(c, t);
         g.add_edge(d, t);
-        let cut = g.min_vertex_cut(s, t);
+        let cut = min_cut(&mut g, s, t);
         assert_eq!(cut.value, 1);
         assert_eq!(cut.cut_vertices, vec![m]);
     }
@@ -338,7 +347,7 @@ mod tests {
         g.add_edge(s, exo);
         g.add_edge(exo, endo);
         g.add_edge(endo, t);
-        let cut = g.min_vertex_cut(s, t);
+        let cut = min_cut(&mut g, s, t);
         assert_eq!(cut.value, 1);
         assert_eq!(cut.cut_vertices, vec![endo]);
     }
@@ -350,7 +359,7 @@ mod tests {
         let t = g.add_vertex(INF);
         let a = g.add_vertex(1);
         g.add_edge(s, a);
-        let cut = g.min_vertex_cut(s, t);
+        let cut = min_cut(&mut g, s, t);
         assert_eq!(cut.value, 0);
         assert!(cut.cut_vertices.is_empty());
         assert_eq!(g.num_vertices(), 3);
@@ -367,7 +376,7 @@ mod tests {
             g.add_edge(s, m);
             g.add_edge(m, t);
         }
-        assert_eq!(g.min_vertex_cut_value(s, t), g.min_vertex_cut(s, t).value);
+        assert_eq!(warm_build(&mut g, s, t), min_cut(&mut g, s, t).value);
     }
 
     #[test]
@@ -384,24 +393,24 @@ mod tests {
             g.add_edge(m, t);
             mids.push(m);
         }
-        assert_eq!(g.warm_build(s, t), 4);
-        assert!(g.has_warm(s, t));
+        assert_eq!(warm_build(&mut g, s, t), 4);
+        assert!(has_warm(&g, s, t));
 
         g.warm_set_capacity(mids[1], 0);
-        let (value, _) = g.warm_reaugment();
+        let (value, _) = reaugment(&mut g);
         assert_eq!(value, 3);
         let mut cut = Vec::new();
         g.warm_cut_vertices(&mut cut);
         assert_eq!(cut, vec![mids[0], mids[2], mids[3]]);
 
         g.warm_set_capacity(mids[3], 0);
-        let (value, _) = g.warm_reaugment();
+        let (value, _) = reaugment(&mut g);
         assert_eq!(value, 2);
         g.warm_cut_vertices(&mut cut);
         assert_eq!(cut, vec![mids[0], mids[2]]);
 
         g.warm_set_capacity(mids[1], 1);
-        let (value, _) = g.warm_reaugment();
+        let (value, _) = reaugment(&mut g);
         assert_eq!(value, 3);
         g.warm_cut_vertices(&mut cut);
         assert_eq!(cut, vec![mids[0], mids[1], mids[2]]);
@@ -423,9 +432,9 @@ mod tests {
         g.add_edge(a, m);
         g.add_edge(b, m);
         g.add_edge(m, t);
-        assert_eq!(g.warm_build(s, t), 1);
+        assert_eq!(warm_build(&mut g, s, t), 1);
         g.warm_set_capacity(m, 0);
-        let (value, _) = g.warm_reaugment();
+        let (value, _) = reaugment(&mut g);
         assert_eq!(value, 0);
         let mut cut = Vec::new();
         g.warm_cut_vertices(&mut cut);
@@ -440,13 +449,13 @@ mod tests {
         let t = g.add_vertex(INF);
         g.add_edge(s, m);
         g.add_edge(m, t);
-        assert_eq!(g.warm_build(s, t), 1);
-        assert!(g.has_warm(s, t));
-        let _ = g.min_vertex_cut(s, t);
-        assert!(!g.has_warm(s, t));
-        g.warm_build(s, t);
+        assert_eq!(warm_build(&mut g, s, t), 1);
+        assert!(has_warm(&g, s, t));
+        let _ = min_cut(&mut g, s, t);
+        assert!(!has_warm(&g, s, t));
+        warm_build(&mut g, s, t);
         g.clear();
-        assert!(!g.has_warm(s, t));
+        assert!(!has_warm(&g, s, t));
     }
 
     #[test]
@@ -464,7 +473,7 @@ mod tests {
             g.add_edge(s, v);
             g.add_edge(v, t);
         }
-        let cut = g.min_vertex_cut(s, t);
+        let cut = min_cut(&mut g, s, t);
         assert_eq!(cut.value, 9);
         assert_eq!(cut.cut_vertices.len(), 3);
     }

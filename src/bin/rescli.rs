@@ -61,6 +61,27 @@ use std::fs;
 use std::process::ExitCode;
 use std::sync::Arc;
 
+/// `println!` for a command-line tool: once standard output is closed (the
+/// reader of `rescli solve ... | head` went away), the process ends quietly
+/// with status 0 instead of panicking; any other write error ends it with a
+/// message and status 1.
+macro_rules! println {
+    ($($arg:tt)*) => {{
+        use std::io::Write as _;
+        if let Err(e) = writeln!(std::io::stdout(), $($arg)*) {
+            stdout_failed(e);
+        }
+    }};
+}
+
+fn stdout_failed(e: std::io::Error) -> ! {
+    if e.kind() == std::io::ErrorKind::BrokenPipe {
+        std::process::exit(0);
+    }
+    eprintln!("rescli: cannot write to standard output: {e}");
+    std::process::exit(1);
+}
+
 fn usage() -> ExitCode {
     eprintln!(
         "usage:\n  rescli classify \"<query>\"\n  rescli solve [--json] [--plan-cache] [--snapshot] \"<query>\" <database-file|file.snap>\n  \

@@ -9,11 +9,12 @@
 //! 2. **raw-store scan** — component-wise / catalogue targets that need
 //!    deletions physically absent (a reduced copy is materialized);
 //! 3. **live view** — survivor iteration over the shared witness index,
-//!    with a warm-start incumbent when one is cached.
+//!    with a warm-start incumbent when one is cached, or the resident warm
+//!    flow network on the flow dispatches.
 
 use cq::classify::{Complexity, PtimeAlgorithm};
-use database::{Database, TupleId};
-use resilience_core::engine::{Engine, Resilience, SolveError, SolveOptions};
+use database::{copy_without_mask, Database, TupleId};
+use resilience_core::engine::{Engine, Resilience, SolveError, SolveMethod, SolveOptions};
 use resilience_core::CancelToken;
 use std::collections::HashSet;
 use std::time::Duration;
@@ -242,4 +243,94 @@ fn mid_search_deadline_yields_sane_bounds_and_a_live_session() {
     assert_eq!(session.live_witnesses(), 0);
     let report = session.solve(&SolveOptions::new()).unwrap();
     assert_eq!(report.resilience, Resilience::Finite(0));
+}
+
+/// A flow-dispatched instance whose warm rebuild after `reset` takes
+/// several milliseconds even in release builds: a random `R` with three
+/// edges per constant (symmetric pairs with probability `sym`, loops on
+/// every other constant when `loops`) and every unary relation saturated.
+fn flow_instance(q: &cq::Query, nodes: u64, sym: f64, loops: bool) -> Database {
+    let mut workload = Workload::new(3);
+    let mut db = workload.random_symmetric_relation(q, "R", nodes, 3 * nodes as usize, sym);
+    if loops {
+        for v in (0..nodes).step_by(2) {
+            db.insert_named("R", &[v, v]);
+        }
+    }
+    workload.saturate_unary_relations(q, &mut db, nodes);
+    db
+}
+
+#[test]
+fn warm_flow_resolves_honour_deadlines() {
+    for (name, nodes, sym, loops, method) in [
+        ("q_ACconf", 1000, 0.0, false, SolveMethod::LinearFlow),
+        ("q_Aperm", 4000, 0.5, false, SolveMethod::PermutationFlow),
+        ("z3", 8000, 0.0, true, SolveMethod::RepFlow),
+    ] {
+        let q = cq::catalogue::by_name(name).unwrap().query;
+        let compiled = Engine::compile(&q);
+        let db = flow_instance(&q, nodes, sym, loops);
+        let frozen = db.freeze();
+        let mut session = compiled.session(&frozen).unwrap();
+        let full = session.solve(&SolveOptions::new()).unwrap();
+        assert_eq!(full.method, method, "test premise: {name} dispatch");
+        let victim = full.contingency.as_ref().unwrap()[0];
+        let mut mask = vec![false; db.num_tuples()];
+        mask[victim.index()] = true;
+        let scratch = compiled
+            .solve(
+                &copy_without_mask(&frozen, &mask).freeze(),
+                &SolveOptions::new(),
+            )
+            .unwrap();
+        let rho = scratch.resilience.as_finite().unwrap();
+
+        // `reset` drops the resident network, so this resolve rebuilds it
+        // from the full witness set: far longer than the 1 ms deadline.
+        // (On a loaded machine the deadline can pass before the solve even
+        // dispatches, which cancels without bounds; that case is retried.)
+        let bounds = (0..3)
+            .find_map(|_| {
+                session.reset();
+                session.delete(&[victim]);
+                let deadline = CancelToken::with_deadline(Duration::from_millis(1));
+                match session.solve(&SolveOptions::new().cancel_token(deadline)) {
+                    Err(SolveError::Cancelled {
+                        partial: Some(bounds),
+                    }) => Some(bounds),
+                    Err(SolveError::Cancelled { partial: None }) => None,
+                    other => {
+                        panic!("{name}: expected the warm rebuild to be cancelled, got {other:?}")
+                    }
+                }
+            })
+            .unwrap_or_else(|| panic!("{name}: deadline passed before dispatch three times"));
+        assert!(
+            bounds.lower <= rho,
+            "{name}: partial flow {} exceeds the resilience {rho}",
+            bounds.lower
+        );
+
+        // The interrupted step left no trace: the next token-free solve
+        // rebuilds and answers what a from-scratch solve over the reduced
+        // copy answers, with a valid minimum contingency set.
+        let after = session.solve(&SolveOptions::new()).unwrap();
+        assert!(session.last_solve_stats().flow_cold_rebuild, "{name}");
+        assert_eq!(after.resilience, scratch.resilience, "{name}");
+        assert_eq!(after.witnesses, scratch.witnesses, "{name}");
+        assert_eq!(after.method, scratch.method, "{name}");
+        let gamma = after.contingency.unwrap();
+        assert_eq!(gamma.len(), rho, "{name}");
+        let mut removed: HashSet<TupleId> = gamma.into_iter().collect();
+        assert!(
+            !removed.contains(&victim),
+            "{name}: contingency holds a deleted tuple"
+        );
+        removed.insert(victim);
+        assert!(
+            !database::evaluate(&q, &db.without(&removed)),
+            "{name}: contingency leaves a witness"
+        );
+    }
 }

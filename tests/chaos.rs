@@ -302,6 +302,84 @@ fn hard_instance_cancels_within_the_deadline_with_valid_bounds() {
     assert_serviceable(addr, &qid2, &did2, &expected);
 }
 
+/// `q_ACconf`: a linear-flow query, so its sessions re-solve through the
+/// resident warm flow network.
+const QACCONF: &str = "A(x), R(x,y), R(z,y), C(z)";
+
+#[test]
+fn warm_flow_resolve_cancels_within_its_deadline_and_resolves_identically() {
+    // 1000 constants, 3000 random R-edges, unary relations saturated: the
+    // warm rebuild a resolve runs after `reset` + `delete` takes several
+    // times the deadline, even in release builds.
+    let q = parse_query(QACCONF).unwrap();
+    let mut workload = Workload::new(3);
+    let mut db = workload.random_symmetric_relation(&q, "R", 1000, 3000, 0.0);
+    workload.saturate_unary_relations(&q, &mut db, 1000);
+    let text = to_text(&db);
+    let victim = text
+        .lines()
+        .find(|l| l.starts_with("R("))
+        .unwrap()
+        .to_string();
+
+    let (addr, _guard) = start_server(ServerConfig::new("127.0.0.1:0").workers(2));
+    let mut client = Client::connect(addr).unwrap();
+    let (qid, _, _) = client.compile(QACCONF).unwrap();
+    let (did, _) = client.load_text(&qid, &text).unwrap();
+    let open_and_delete = |client: &mut Client, sid: &str| {
+        client
+            .request(&format!(
+                "{{\"op\": \"session\", \"query_id\": \"{qid}\", \"db_id\": \"{did}\", \
+                 \"session_id\": \"{sid}\"}}"
+            ))
+            .unwrap();
+        client
+            .request(&format!("{{\"op\": \"reset\", \"session_id\": \"{sid}\"}}"))
+            .unwrap();
+        client
+            .request(&format!(
+                "{{\"op\": \"delete\", \"session_id\": \"{sid}\", \"tuple\": \"{victim}\"}}"
+            ))
+            .unwrap();
+    };
+    let resolve = |client: &mut Client, sid: &str| {
+        let (_, raw) = client
+            .request(&format!(
+                "{{\"op\": \"resolve\", \"session_id\": \"{sid}\"}}"
+            ))
+            .unwrap();
+        jsonio::extract_raw(&raw, "event").unwrap().to_string()
+    };
+
+    open_and_delete(&mut client, "s");
+    let timeout_ms = 1u64;
+    let started = Instant::now();
+    let raw = client
+        .request_raw(&format!(
+            "{{\"op\": \"resolve\", \"session_id\": \"s\", \
+             \"options\": {{\"timeout_ms\": {timeout_ms}}}}}"
+        ))
+        .unwrap();
+    let elapsed = started.elapsed();
+    let v = jsonio::parse_json(&raw).unwrap();
+    assert_eq!(
+        v.get("kind").and_then(JsonValue::as_str),
+        Some("cancelled"),
+        "warm resolve ignored its deadline: {}",
+        &raw[..raw.len().min(240)]
+    );
+    assert!(
+        elapsed < Duration::from_millis(timeout_ms + 50),
+        "cancellation took {elapsed:?}, deadline was {timeout_ms}ms + 50ms grace"
+    );
+
+    // The cancelled resolve left no trace: the next plain resolve answers
+    // byte for byte what a fresh session with the same deletion answers.
+    let resumed = resolve(&mut client, "s");
+    open_and_delete(&mut client, "fresh");
+    assert_eq!(resumed, resolve(&mut client, "fresh"));
+}
+
 #[test]
 fn queue_overload_refuses_with_retry_hint_and_recovers() {
     // Admission control is per *request* now, not per connection: with one

@@ -3,6 +3,8 @@
 //! restore step the repaired resident flow must have exactly the value a
 //! from-scratch min vertex cut reports, and the warm cut vertices must form
 //! a valid cut of the current network together with the zeroed vertices.
+//! A warm build or re-augment stopped by its callback leaves a flow no
+//! larger than the cold cut, which the next uninterrupted step completes.
 
 use flow::{VertexCutNetwork, INF};
 use proptest::prelude::*;
@@ -64,6 +66,14 @@ impl Instance {
         }
     }
 
+    /// The cold reference value: a min vertex cut of [`Instance::cold`].
+    fn cold_value(&self) -> u64 {
+        self.cold()
+            .min_vertex_cut(self.s, self.t, &mut || false)
+            .expect("a never-stop run completes")
+            .value
+    }
+
     /// Cold reference: a fresh network with the current (dead-aware)
     /// capacities, solved from scratch.
     fn cold(&self) -> VertexCutNetwork {
@@ -89,15 +99,15 @@ proptest! {
     ) {
         let mut inst = Instance::build(&mid_caps, &arcs);
         let (s, t) = (inst.s, inst.t);
-        let warm_value = inst.graph.warm_build(s, t);
-        prop_assert_eq!(warm_value, inst.cold().min_vertex_cut_value(s, t));
+        let warm_value = inst.graph.warm_build(s, t, &mut || false).unwrap();
+        prop_assert_eq!(warm_value, inst.cold_value());
         for &raw in &toggles {
             let v = 2 + (raw as usize % mid_caps.len());
             inst.dead[v] = !inst.dead[v];
             let cap = if inst.dead[v] { 0 } else { inst.caps[v] };
             inst.graph.warm_set_capacity(v, cap);
-            let (value, _paths) = inst.graph.warm_reaugment();
-            let cold = inst.cold().min_vertex_cut_value(s, t);
+            let (value, _paths) = inst.graph.warm_reaugment(&mut || false).unwrap();
+            let cold = inst.cold_value();
             prop_assert!(value == cold, "warm value {} != cold {} after toggling {}", value, cold, v);
         }
     }
@@ -108,14 +118,14 @@ proptest! {
     ) {
         let mut inst = Instance::build(&mid_caps, &arcs);
         let (s, t) = (inst.s, inst.t);
-        inst.graph.warm_build(s, t);
+        inst.graph.warm_build(s, t, &mut || false).unwrap();
         let mut cut = Vec::new();
         for &raw in &toggles {
             let v = 2 + (raw as usize % mid_caps.len());
             inst.dead[v] = !inst.dead[v];
             let cap = if inst.dead[v] { 0 } else { inst.caps[v] };
             inst.graph.warm_set_capacity(v, cap);
-            let (value, _paths) = inst.graph.warm_reaugment();
+            let (value, _paths) = inst.graph.warm_reaugment(&mut || false).unwrap();
             if value >= INF / 2 {
                 // Uncuttable: an all-INF path exists; no finite cut to check.
                 continue;
@@ -136,8 +146,53 @@ proptest! {
             for &v in &cut {
                 check.set_capacity(v, 0);
             }
-            let residual = check.min_vertex_cut_value(s, t);
+            let residual = check
+                .min_vertex_cut(s, t, &mut || false)
+                .unwrap()
+                .value;
             prop_assert!(residual == 0, "reported cut leaves residual value {}", residual);
+        }
+    }
+
+    #[test]
+    fn interrupted_warm_steps_leave_a_valid_flow_and_resume_exactly(
+        (mid_caps, arcs, toggles) in network_strategy(),
+        k in 0usize..6
+    ) {
+        // The stop callback fires on its (k+1)-th poll, inside the warm
+        // build or an odd step's re-augment. Whatever flow it leaves
+        // resident is a valid flow, so it never exceeds the cold cut; the
+        // next (even) step repairs it further and re-augments without a
+        // stop, which must land exactly on the cold min cut.
+        let mut inst = Instance::build(&mid_caps, &arcs);
+        let (s, t) = (inst.s, inst.t);
+        let stop_after_k = || {
+            let mut polls = 0usize;
+            move || {
+                polls += 1;
+                polls > k
+            }
+        };
+        let cold = inst.cold_value();
+        match inst.graph.warm_build(s, t, &mut stop_after_k()) {
+            Ok(value) => prop_assert_eq!(value, cold),
+            Err(e) => prop_assert!(e.partial_flow <= cold, "partial {} > cold {}", e.partial_flow, cold),
+        }
+        for (step, &raw) in toggles.iter().enumerate() {
+            let v = 2 + (raw as usize % mid_caps.len());
+            inst.dead[v] = !inst.dead[v];
+            let cap = if inst.dead[v] { 0 } else { inst.caps[v] };
+            inst.graph.warm_set_capacity(v, cap);
+            let cold = inst.cold_value();
+            if step % 2 == 1 {
+                match inst.graph.warm_reaugment(&mut stop_after_k()) {
+                    Ok((value, _)) => prop_assert_eq!(value, cold),
+                    Err(e) => prop_assert!(e.partial_flow <= cold, "partial {} > cold {} at step {}", e.partial_flow, cold, step),
+                }
+            } else {
+                let (value, _) = inst.graph.warm_reaugment(&mut || false).unwrap();
+                prop_assert!(value == cold, "resumed value {} != cold {} at step {}", value, cold, step);
+            }
         }
     }
 }

@@ -12,8 +12,8 @@
 
 use cq::catalogue;
 use database::{
-    try_relation_translation, witnesses_with_plan_into, witnesses_with_plan_parallel_into,
-    Database, QueryPlan, TupleId,
+    collect_witnesses, try_relation_translation, witnesses_with_plan_into, Database, QueryPlan,
+    TupleId,
 };
 use resilience_core::engine::{Engine, Resilience, SolveOptions};
 use std::collections::HashSet;
@@ -435,9 +435,16 @@ fn parallel_enumeration_is_deterministic_on_the_catalogue() {
         let frozen = db.freeze();
         for threads in [2usize, 4] {
             let mut parallel = Vec::new();
-            witnesses_with_plan_parallel_into(&plan, &translation, &db, threads, &mut parallel);
+            collect_witnesses(&plan, &translation, &db, threads, &mut parallel, &|| false);
             assert_eq!(sequential, parallel, "{} threads {threads}", nq.name);
-            witnesses_with_plan_parallel_into(&plan, &translation, &frozen, threads, &mut parallel);
+            collect_witnesses(
+                &plan,
+                &translation,
+                &frozen,
+                threads,
+                &mut parallel,
+                &|| false,
+            );
             assert_eq!(
                 sequential, parallel,
                 "{} threads {threads} (frozen)",
